@@ -173,12 +173,10 @@ def _cmd_enumerate(args, budget: int) -> int:
 
 
 def _cmd_unique(args, budget: int) -> int:
-    graph = _load_graph(args)
     kind = "ev" if args.kind == "ev" else "paired"
-    verdict = uniqueness(graph, kind, budget)
+    verdict = uniqueness(_load_graph(args), kind, budget)
     if verdict.unique:
-        family = _solve(graph, args.kind, budget)
-        print(f"unique: true; set = {_fmt_set(kind, family.sets[0])}")
+        print(f"unique: true; set = {_fmt_set(kind, verdict.family.sets[0])}")
     elif verdict.common_span is not None:
         print(f"unique: false; {_plural(verdict.witness_count, 'minimum set')}; "
               f"common span = {_fmt_vertex_set(verdict.common_span)}")

@@ -6,16 +6,19 @@ when every vertex outside D has a neighbor inside D (membership alone
 does not make a vertex dominated), and paired-dominating when it is
 dominating and the subgraph it induces has a perfect matching.
 
-Both solvers return the complete family of minimum sets, found by
-sweeping candidate sizes upward and collecting every feasible set at the
-first size that admits one. Feasibility tests are counted against a
-budget so a runaway search surfaces as CapabilityError instead of a
-silent hang.
+Both solvers run one search over edge coverage masks. A paired set D is
+the span V(M) of a matching M, and D dominates exactly when M's
+coverages union to every vertex, so the paired solver searches for
+ev-dominating matchings (edges with pairwise disjoint endpoints) and
+returns their distinct spans. Each solver sweeps the number of edges
+upward and collects every feasible choice at the first size that admits
+one. Search nodes are counted against a budget so a runaway search
+surfaces as CapabilityError instead of a silent hang.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CapabilityError, DomainError, InvariantViolation
 from .graphs import Graph, _matchable, normalize_edge
@@ -55,11 +58,13 @@ class UniquenessVerdict:
     ``common_span`` is only present when every witness covers the same
     vertex set: for kind "ev" that is the shared set of edge endpoints,
     for kind "paired" the set itself (hence present exactly when unique).
+    ``family`` is the minimum family the verdict was read from.
     """
 
     unique: bool
     witness_count: int
     common_span: frozenset[int] | None
+    family: MinSetFamily = field(repr=False, compare=False)
 
 
 def ev_dominates(graph: Graph, edge: Edge, vertex: int) -> bool:
@@ -105,52 +110,17 @@ def is_paired_dominating_set(graph: Graph, vertices) -> bool:
 
 
 def solve_ev(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
-    """All minimum ev-dominating sets.
-
-    Sizes are swept upward from 1; a greedy cover bounds the sweep. At
-    each size the search walks edge combinations ordered by shrinking
-    coverage and prunes branches that cannot cover the remainder.
-    """
-    _require_solvable(graph)
-    full = (1 << graph.n) - 1
-    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
-    order = sorted(graph.edges, key=lambda e: (-cover[e].bit_count(), e))
-    masks = [cover[e] for e in order]
-    sizes = [m.bit_count() for m in masks]
-    upper = _greedy_ev_bound(masks, full)
-    counter = _Budget(budget)
-    for k in range(1, upper + 1):
-        hits: list[tuple[int, ...]] = []
-        _search_cover(masks, sizes, full, k, counter, hits, matching_check=None)
-        if hits:
-            sets = tuple(sorted(tuple(sorted(order[i] for i in pick)) for pick in hits))
-            return MinSetFamily(kind="ev", gamma=k, sets=sets, graph=graph)
-    raise InvariantViolation("greedy bound produced no feasible size")
+    """All minimum ev-dominating sets."""
+    k, picks = _min_edge_covers(graph, budget, matching=False)
+    sets = tuple(sorted(tuple(sorted(pick)) for pick in picks))
+    return MinSetFamily(kind="ev", gamma=k, sets=sets, graph=graph)
 
 
 def solve_pr(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
-    """All minimum paired-dominating sets (size swept over even values)."""
-    _require_solvable(graph)
-    full = (1 << graph.n) - 1
-    order = sorted(range(graph.n), key=lambda v: (-graph.closed_nbr_bits(v).bit_count(), v))
-    masks = [graph.closed_nbr_bits(v) for v in order]
-    sizes = [m.bit_count() for m in masks]
-    counter = _Budget(budget)
-
-    def paired(pick: tuple[int, ...]) -> bool:
-        mask = 0
-        for i in pick:
-            mask |= 1 << order[i]
-        inner = tuple(b & mask for b in graph.nbr_bits)
-        return _matchable(inner, mask, {})
-
-    for k in range(2, graph.n + 1, 2):
-        hits: list[tuple[int, ...]] = []
-        _search_cover(masks, sizes, full, k, counter, hits, matching_check=paired)
-        if hits:
-            sets = tuple(sorted(tuple(sorted(order[i] for i in pick)) for pick in hits))
-            return MinSetFamily(kind="paired", gamma=k, sets=sets, graph=graph)
-    raise InvariantViolation("no paired dominating set up to n vertices")
+    """All minimum paired-dominating sets, as spans of minimum ev-dominating matchings."""
+    k, picks = _min_edge_covers(graph, budget, matching=True)
+    sets = tuple(sorted({tuple(sorted(spanned_vertices(pick))) for pick in picks}))
+    return MinSetFamily(kind="paired", gamma=2 * k, sets=sets, graph=graph)
 
 
 def spanned_vertices(edges) -> frozenset[int]:
@@ -177,6 +147,7 @@ def uniqueness(graph: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Uniquen
         unique=len(family.sets) == 1,
         witness_count=len(family.sets),
         common_span=common,
+        family=family,
     )
 
 
@@ -260,43 +231,51 @@ class _Budget:
             raise CapabilityError("search budget exhausted")
 
 
-def _search_cover(masks, sizes, full, k, counter, hits, matching_check) -> None:
+def _min_edge_covers(graph: Graph, budget: int, matching: bool):
+    # Sizes are swept upward. A maximal matching has at most n // 2 edges
+    # and its span dominates a graph without isolated vertices, so both
+    # sweeps end by n // 2. Returns the first size with hits and the picks.
+    _require_solvable(graph)
+    full = (1 << graph.n) - 1
+    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
+    order = sorted(graph.edges, key=lambda e: (-cover[e].bit_count(), e))
+    masks = [cover[e] for e in order]
+    sizes = [m.bit_count() for m in masks]
+    ends = [(1 << u | 1 << v) if matching else 0 for u, v in order]
+    counter = _Budget(budget)
+    for k in range(1, graph.n // 2 + 1):
+        hits: list[tuple[int, ...]] = []
+        _search_cover(masks, sizes, ends, full, k, counter, hits)
+        if hits:
+            return k, [[order[i] for i in pick] for pick in hits]
+    raise InvariantViolation("no ev-dominating matching up to n // 2 edges")
+
+
+def _search_cover(masks, sizes, ends, full, k, counter, hits) -> None:
     # Depth-first over index combinations; masks come sorted by shrinking
-    # coverage, so one suffix test bounds the whole remaining range.
+    # coverage, so one suffix test bounds the whole remaining range. An
+    # edge whose endpoint mask meets the used endpoints is skipped; all-zero
+    # endpoint masks turn that prune off.
     m = len(masks)
 
-    def descend(start: int, chosen: list[int], covered: int) -> None:
+    def descend(start: int, chosen: list[int], covered: int, used: int) -> None:
         counter.spend()
         slots = k - len(chosen)
         if slots == 0:
-            if covered == full and (matching_check is None or matching_check(tuple(chosen))):
+            if covered == full:
                 hits.append(tuple(chosen))
             return
         missing = (full & ~covered).bit_count()
         for i in range(start, m - slots + 1):
             if missing > slots * sizes[i]:
                 break
+            if ends[i] & used:
+                continue
             chosen.append(i)
-            descend(i + 1, chosen, covered | masks[i])
+            descend(i + 1, chosen, covered | masks[i], used | ends[i])
             chosen.pop()
 
-    descend(0, [], 0)
-
-
-def _greedy_ev_bound(masks, full) -> int:
-    covered = 0
-    count = 0
-    while covered != full:
-        gain, pick = 0, -1
-        for i, mask in enumerate(masks):
-            g = (mask & ~covered).bit_count()
-            if g > gain:
-                gain, pick = g, i
-        if pick < 0:
-            raise InvariantViolation("greedy cover stalled")
-        covered |= masks[pick]
-        count += 1
-    return count
+    descend(0, [], 0, 0)
 
 
 def _require_solvable(graph: Graph) -> None:

@@ -162,10 +162,10 @@ _G6_MIN, _G6_MAX = 63, 126
 def parse_graph6(text: str) -> Graph:
     """Decode a short-form graph6 string (n <= 62)."""
     s = text.strip()
-    if not s:
-        raise GraphParseError("empty graph6 string")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphParseError("empty graph6 string")
     first = ord(s[0])
     if first == 126:
         raise CapabilityError("long-form graph6 (n > 62) is not supported")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from domicert import Graph
+from domicert.census import CONNECTED, CensusConfig, run_census
 
 
 def path_graph(n: int) -> Graph:
@@ -58,3 +59,11 @@ def tmp_graph_file(tmp_path):
         return str(target)
 
     return write
+
+
+@pytest.fixture(scope="session")
+def probe_at_8():
+    """The thm2_probe census over all connected graphs at n=8, built once per session."""
+    config = CensusConfig(family=CONNECTED, n_min=8, n_max=8,
+                          checks=("thm2_probe",), worker_count=4)
+    return run_census(config)

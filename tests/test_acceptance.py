@@ -3,7 +3,8 @@
 Every test prints a single ``acceptance N: PASS/FAIL (...)`` line directly to
 the terminal (bypassing capture) so a plain ``pytest -v`` run shows all nine
 verdicts, then asserts. The censuses are shared through module-scoped
-fixtures so the whole suite stays well under the ten-minute budget.
+fixtures (the n=8 probe through the session-scoped one in conftest) so
+the whole suite stays well under the ten-minute budget.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ def connected_to_7():
 @pytest.fixture(scope="module")
 def connected_to_6():
     config = CensusConfig(family=CONNECTED, n_min=2, n_max=6, checks=("claim", "lemma1"))
-    return run_census(config)
-
-
-@pytest.fixture(scope="module")
-def probe_at_8():
-    config = CensusConfig(family=CONNECTED, n_min=8, n_max=8,
-                          checks=("thm2_probe",), worker_count=4)
     return run_census(config)
 
 

@@ -222,13 +222,10 @@ class TestRunCensus:
         cfg = CensusConfig(family="connected_graphs", n_min=2, n_max=5)
         assert run_census(cfg).to_json() == run_census(cfg).to_json()
 
-    def test_probe_finds_pendant_cycle_class_at_eight(self):
-        # kept cheap by restricting to the probe check; the full-size run
-        # lives in the acceptance suite
-        report = run_census(CensusConfig(family="connected_graphs", n_min=8, n_max=8,
-                                         checks=("thm2_probe",)))
-        assert report.per_n[8]["graphs_examined"] == connected_class_count(8)
-        found = report.per_n[8]["counterexamples"]
+    def test_probe_finds_pendant_cycle_class_at_eight(self, probe_at_8):
+        # the census is shared with the acceptance suite through conftest
+        assert probe_at_8.per_n[8]["graphs_examined"] == connected_class_count(8)
+        found = probe_at_8.per_n[8]["counterexamples"]
         assert found
         want = canonical_code(figure1_graph())
         assert any(canonical_code(parse_graph6(rec["graph6"])) == want for rec in found)

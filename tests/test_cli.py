@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from domicert import emit_graph6
+from domicert import cli, domination, emit_graph6
 from domicert.cli import main
 
 from .conftest import PENDANT_CYCLE_TEXT, SPIDER_TEXT, pendant_cycle
@@ -34,6 +34,12 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "--kind", "ev", "--format", "g6", path)
         assert code == 0
         assert out == "gamma_ev = 2; 2 minimum sets\n"
+
+    def test_graph6_header_only(self, capsys, tmp_graph_file):
+        path = tmp_graph_file(">>graph6<<\n", "graph.g6")
+        code, _, err = run_cli(capsys, "solve", "--kind", "ev", "--format", "g6", path)
+        assert code == 2
+        assert err == "error: empty graph6 string\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--kind", "ev", "/no/such/file")
@@ -106,6 +112,27 @@ class TestUniqueAndSpan:
         code, out, _ = run_cli(capsys, "unique", "--kind", "pr", path)
         assert code == 0
         assert out == "unique: true; set = {0, 1, 2, 3}\n"
+
+    def test_unique_solves_once(self, capsys, tmp_graph_file, monkeypatch):
+        calls = []
+        original = domination.solve_pr
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(domination, "solve_pr", counted)
+        monkeypatch.setattr(cli, "solve_pr", counted)
+        path = tmp_graph_file(PENDANT_CYCLE_TEXT)
+        code, out, _ = run_cli(capsys, "unique", "--kind", "pr", path)
+        assert (code, out) == (0, "unique: true; set = {0, 1, 2, 3}\n")
+        assert len(calls) == 1
+
+    def test_unique_ev_set(self, capsys, tmp_graph_file):
+        path = tmp_graph_file("4 3\n0 1\n1 2\n2 3\n")
+        code, out, _ = run_cli(capsys, "unique", "--kind", "ev", path)
+        assert code == 0
+        assert out == "unique: true; set = {(1,2)}\n"
 
     def test_unique_ev_common_span(self, capsys, tmp_graph_file):
         path = tmp_graph_file(PENDANT_CYCLE_TEXT)

@@ -131,21 +131,28 @@ class TestSolvePr:
         with pytest.raises(DomainError):
             solve_pr(Graph(3, [(0, 1)]))
 
+    def test_budget_exhaustion(self):
+        with pytest.raises(CapabilityError):
+            solve_pr(pendant_cycle(), budget=3)
+
+    @staticmethod
+    def _check_against_naive(g):
+        gamma, sets = min_pr_family_naive(g)
+        family = solve_pr(g)
+        assert family.gamma == gamma
+        assert list(family.sets) == sets
+        for members in family.sets:
+            assert is_paired_dominating_set(g, members)
+
     def test_matches_naive_on_trees(self):
-        for n in range(2, 8):
+        for n in range(2, 10):
             for g in generate_trees(n):
-                gamma, sets = min_pr_family_naive(g)
-                family = solve_pr(g)
-                assert family.gamma == gamma
-                assert list(family.sets) == sets
+                self._check_against_naive(g)
 
     def test_matches_naive_on_connected(self):
-        for n in range(2, 6):
+        for n in range(2, 7):
             for g in generate_connected_graphs(n):
-                gamma, sets = min_pr_family_naive(g)
-                family = solve_pr(g)
-                assert family.gamma == gamma
-                assert list(family.sets) == sets
+                self._check_against_naive(g)
 
 
 class TestStructuralInvariants:
@@ -198,6 +205,7 @@ class TestSpanAndUniqueness:
         verdict = uniqueness(pendant_cycle(), "paired")
         assert verdict.unique and verdict.witness_count == 1
         assert verdict.common_span == frozenset({0, 1, 2, 3})
+        assert verdict.family.sets == ((0, 1, 2, 3),)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -136,6 +136,10 @@ class TestGraph6:
         with pytest.raises(GraphParseError):
             parse_graph6("A" + chr(20))
 
+    def test_header_only_rejected(self):
+        with pytest.raises(GraphParseError, match="empty"):
+            parse_graph6(">>graph6<<\n")
+
     def test_emit_bound(self):
         with pytest.raises(CapabilityError):
             emit_graph6(Graph(63, ()))
