@@ -26,7 +26,6 @@ Check names:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .graphs import (
     is_tree,
     parse_edge_list,
     perfect_matchings_within,
+    reachable_bits,
 )
 from .twinning import check_claim, detangle, sharing_pairs, twinning
 
@@ -54,6 +54,9 @@ STANDARD_CHECKS = ("claim", "cor1", "cor_general", "cor_general2", "lemma1", "th
 
 TREE_GENERATION_BOUND = 16
 CONNECTED_GENERATION_BOUND = 8
+# largest census pool; a fixed cap rather than the host's CPU count, so a
+# configuration is valid or not the same way on every machine
+WORKER_BOUND = 32
 
 # connected graph classes per vertex count, for generator cross-checks
 _CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -193,10 +196,15 @@ def _levels_to_graph(levels) -> Graph:
 
 # --- connected graph generation -------------------------------------------
 #
-# Every connected graph on m vertices keeps a connected graph when some
-# non-cut vertex is removed, so attaching a new vertex to every nonempty
-# subset of each (m-1)-representative reaches every class. Canonical
-# codes deduplicate.
+# Children of an (m-1)-representative g attach a newcomer u to a nonempty
+# neighbour mask. Every connected graph H has a non-cut vertex v of largest
+# degree among its non-cut vertices; H - v is connected, so it is isomorphic
+# to some representative, and attaching v back to that representative
+# reaches H with v as the newcomer. A child in which some other vertex is
+# not a cut vertex and has a larger degree than u therefore adds no class,
+# and it is dropped on bitmasks before any Graph or canonical code is made:
+# a vertex x of g is not a cut vertex of the child exactly when every
+# component of g - x meets the mask. Canonical codes deduplicate the rest.
 
 
 def generate_connected_graphs(n: int):
@@ -206,9 +214,15 @@ def generate_connected_graphs(n: int):
     reps = [Graph(1, ())]
     for m in range(2, n + 1):
         found: dict[bytes, Graph] = {}
+        newcomer = m - 1
         for g in reps:
-            newcomer = m - 1
+            degree = [b.bit_count() for b in g.nbr_bits]
+            parts = [_components(g.nbr_bits, ((1 << newcomer) - 1) ^ 1 << x) for x in range(newcomer)]
             for mask in range(1, 1 << newcomer):
+                k = mask.bit_count()
+                if any(degree[x] + (mask >> x & 1) > k and all(c & mask for c in parts[x])
+                       for x in range(newcomer)):
+                    continue
                 extra = [(i, newcomer) for i in range(newcomer) if mask >> i & 1]
                 h = Graph(m, g.edges + tuple(extra))
                 code = canonical_code(h)
@@ -216,6 +230,16 @@ def generate_connected_graphs(n: int):
                     found[code] = h
         reps = [found[c] for c in sorted(found)]
     yield from reps
+
+
+def _components(bits: tuple[int, ...], alive: int) -> list[int]:
+    # vertex masks of the components of the subgraph induced on ``alive``
+    parts = []
+    while alive:
+        part = reachable_bits(bits, alive & -alive, alive)
+        parts.append(part)
+        alive ^= part
+    return parts
 
 
 # --- per-graph checks ------------------------------------------------------
@@ -390,8 +414,8 @@ class CensusConfig:
         if self.n_max > bound:
             raise ValueError(f"family {self.family} supports n_max <= {bound}")
         object.__setattr__(self, "checks", _validated_checks(self.checks))
-        if self.worker_count < 1:
-            raise ValueError("need at least one worker")
+        if not 1 <= self.worker_count <= WORKER_BOUND:
+            raise ValueError(f"need 1 to {WORKER_BOUND} workers, got {self.worker_count}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
@@ -480,13 +504,11 @@ def _census_slice(n: int, config: CensusConfig, pool) -> dict:
         expected = connected_class_count(n)
     if len(graphs) != expected:
         raise InvariantViolation(f"generated {len(graphs)} classes for n={n}, expected {expected}")
-    if pool is None:
-        parts = [_verify_shard(([(g.n, g.edges) for g in graphs], config.checks, config.budget))]
-    else:
-        shards: list[list[tuple[int, tuple]]] = [[] for _ in range(config.worker_count)]
-        for g in graphs:
-            shards[_shard_index(canonical_code(g), config.worker_count)].append((g.n, g.edges))
-        parts = pool.map(_verify_shard, [(shard, config.checks, config.budget) for shard in shards])
+    # contiguous chunks of the generation order, one per worker
+    payload = [(g.n, g.edges) for g in graphs]
+    size = -(-len(payload) // config.worker_count)
+    tasks = [(payload[i:i + size], config.checks, config.budget) for i in range(0, len(payload), size)]
+    parts = map(_verify_shard, tasks) if pool is None else pool.map(_verify_shard, tasks)
     verdicts = {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}
     examples: list[dict] = []
     for counts, found in parts:
@@ -501,11 +523,6 @@ def _census_slice(n: int, config: CensusConfig, pool) -> dict:
         "verdicts": verdicts,
         "counterexamples": examples,
     }
-
-
-def _shard_index(code: bytes, workers: int) -> int:
-    digest = hashlib.blake2b(code, digest_size=8).digest()
-    return int.from_bytes(digest, "big") % workers
 
 
 def _verify_shard(args):

@@ -16,6 +16,10 @@ from .errors import CapabilityError, GraphParseError
 # vertex count is capped where 2^n state tables stay reasonable.
 MATCHING_VERTEX_BOUND = 24
 
+# Edge-list headers above this vertex count are refused before anything is
+# allocated for them; no solver in the package finishes anywhere near it.
+EDGE_LIST_VERTEX_BOUND = 4096
+
 # Canonical codes for arbitrary graphs enumerate orderings inside color
 # classes; this stays exact but is only promised up to this many vertices.
 GENERAL_CANONICAL_BOUND = 12
@@ -122,6 +126,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: expected 'n m' header, got {line!r}") from None
             if n < 0 or m < 0:
                 raise GraphParseError(f"line {lineno}: counts must be non-negative")
+            if n > EDGE_LIST_VERTEX_BOUND:
+                raise CapabilityError(f"line {lineno}: edge lists support n <= {EDGE_LIST_VERTEX_BOUND}, got {n}")
             header = (n, m)
             continue
         if count == m:
@@ -231,20 +237,27 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tupl
     return Graph(len(keep), edges), tuple(keep)
 
 
-def is_connected(graph: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (n == 0 counts as connected)."""
-    if graph.n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    bits = graph.nbr_bits
+def reachable_bits(bits: tuple[int, ...], start: int, within: int) -> int:
+    """Mask of the vertices reachable from the ``start`` mask inside ``within``.
+
+    A breadth-first search on neighbor masks that never leaves ``within``,
+    so leaving a vertex out of ``within`` searches the graph without it.
+    """
+    seen = frontier = start & within
     while frontier:
         grown = 0
         for v in _iter_bits(frontier):
             grown |= bits[v]
-        frontier = grown & ~seen
+        frontier = grown & within & ~seen
         seen |= frontier
-    return seen.bit_count() == graph.n
+    return seen
+
+
+def is_connected(graph: Graph) -> bool:
+    """True when every vertex is reachable from vertex 0 (n == 0 counts as connected)."""
+    if graph.n == 0:
+        return True
+    return reachable_bits(graph.nbr_bits, 1, (1 << graph.n) - 1).bit_count() == graph.n
 
 
 def is_tree(graph: Graph) -> bool:

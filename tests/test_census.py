@@ -20,7 +20,7 @@ from domicert import (
     tree_class_count,
     verify_graph,
 )
-from domicert.census import CHECK_NAMES, STANDARD_CHECKS, connected_class_count
+from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
 
 from .conftest import path_graph, pendant_cycle
 from .oracles import connected_classes_labeled, tree_classes_prufer
@@ -94,6 +94,19 @@ class TestConnectedGeneration:
         got = {canonical_code(g) for g in generate_connected_graphs(6)}
         assert got == connected_classes_labeled(6)
 
+    def test_class_for_class_against_networkx_atlas(self):
+        # an independent referee: every graph on at most 7 vertices, as
+        # listed by networkx, against the generator's classes
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, list[bytes]] = {n: [] for n in range(2, 8)}
+        for g in nx.graph_atlas_g():
+            if g.number_of_nodes() in atlas and nx.is_connected(g):
+                atlas[g.number_of_nodes()].append(canonical_code(Graph(g.number_of_nodes(), g.edges())))
+        for n, codes in atlas.items():
+            assert len(codes) == CONNECTED_COUNTS[n]
+            assert len(set(codes)) == len(codes)
+            assert set(codes) == {canonical_code(g) for g in generate_connected_graphs(n)}
+
     def test_deterministic_order(self):
         first = [g.edges for g in generate_connected_graphs(5)]
         second = [g.edges for g in generate_connected_graphs(5)]
@@ -151,8 +164,14 @@ class TestCensusConfig:
             CensusConfig(family="trees", n_min=2, n_max=4, checks=("bogus",))
         with pytest.raises(ValueError):
             CensusConfig(family="trees", n_min=2, n_max=4, worker_count=0)
+        with pytest.raises(ValueError, match="workers"):
+            CensusConfig(family="trees", n_min=2, n_max=4, worker_count=WORKER_BOUND + 1)
         with pytest.raises(ValueError):
             CensusConfig(family="trees", n_min=2, n_max=4, budget=0)
+
+    def test_worker_bound_inclusive(self):
+        cfg = CensusConfig(family="trees", n_min=2, n_max=4, worker_count=WORKER_BOUND)
+        assert cfg.worker_count == WORKER_BOUND
 
     def test_checks_normalized(self):
         cfg = CensusConfig(family="trees", n_min=2, n_max=4,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from domicert import cli, domination, emit_graph6
+from domicert import census, cli, domination, emit_graph6
 from domicert.cli import main
 
 from .conftest import PENDANT_CYCLE_TEXT, SPIDER_TEXT, pendant_cycle
@@ -77,6 +77,13 @@ class TestSolve:
 
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    def test_oversized_header_exit_three(self, capsys, tmp_graph_file):
+        path = tmp_graph_file("1000000000 0\n")
+        code, out, err = run_cli(capsys, "solve", "--kind", "ev", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("capability error: line 1: edge lists support n <= ")
 
 
 class TestEnumerate:
@@ -244,6 +251,17 @@ class TestCensusCommand:
         code, _, _ = run_cli(capsys, "census", "--family", "graphs",
                              "--n-min", "2", "--n-max", "9")
         assert code == 2
+
+    def test_workers_above_bound_exit_two(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(census, "Pool", no_pool)
+        code, out, err = run_cli(capsys, "census", "--family", "trees", "--n-min", "2",
+                                 "--n-max", "4", "--workers", str(census.WORKER_BOUND + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need 1 to {census.WORKER_BOUND} workers, got {census.WORKER_BOUND + 1}\n"
 
 
 class TestVerifyFigure1:

@@ -22,6 +22,7 @@ from domicert import (
     parse_graph6,
     perfect_matchings_within,
 )
+from domicert.graphs import EDGE_LIST_VERTEX_BOUND
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222, star_graph
 from .oracles import has_perfect_matching_naive
@@ -97,6 +98,15 @@ class TestEdgeListFormat:
     def test_round_trip(self):
         g = pendant_cycle()
         assert parse_edge_list(emit_edge_list(g)) == g
+
+    def test_vertex_bound_checked_before_allocating(self):
+        # refused at the header, before any per-vertex storage exists
+        for n in (EDGE_LIST_VERTEX_BOUND + 1, 1_000_000_000):
+            with pytest.raises(CapabilityError, match="line 1"):
+                parse_edge_list(f"{n} 1\n0 1\n")
+
+    def test_vertex_bound_inclusive(self):
+        assert parse_edge_list(f"{EDGE_LIST_VERTEX_BOUND} 0\n").n == EDGE_LIST_VERTEX_BOUND
 
 
 class TestGraph6:
