@@ -44,7 +44,7 @@ from .graphs import (
     perfect_matchings_within,
     reachable_bits,
 )
-from .twinning import check_claim, detangle, sharing_pairs, twinning
+from .twinning import check_claim, detangle, sharing_pairs
 
 TREES = "trees"
 CONNECTED = "connected_graphs"
@@ -57,6 +57,8 @@ CONNECTED_GENERATION_BOUND = 8
 # largest census pool; a fixed cap rather than the host's CPU count, so a
 # configuration is valid or not the same way on every machine
 WORKER_BOUND = 32
+# census shards per pool worker
+CHUNKS_PER_WORKER = 4
 
 # connected graph classes per vertex count, for generator cross-checks
 _CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -251,12 +253,18 @@ def verify_graph(graph: Graph, checks, budget: int = DEFAULT_BUDGET) -> dict[str
     A budget overrun skips every requested check for the graph; checks
     that only claim something about trees come back na on non-trees.
     """
+    return _verify_with_families(graph, checks, budget)[0]
+
+
+def _verify_with_families(graph: Graph, checks, budget: int):
+    # verify_graph's verdicts plus the ev and paired families they were
+    # read from (both None when the budget ran out)
     names = _validated_checks(checks)
     try:
         ev = solve_ev(graph, budget)
         pr = solve_pr(graph, budget)
     except CapabilityError:
-        return {name: "skip" for name in names}
+        return {name: "skip" for name in names}, None, None
     tree = is_tree(graph)
     out: dict[str, str] = {}
     for name in names:
@@ -265,7 +273,7 @@ def verify_graph(graph: Graph, checks, budget: int = DEFAULT_BUDGET) -> dict[str
             continue
         holds = _CHECK_TABLE[name](graph, ev, pr)
         out[name] = "pass" if holds else "fail"
-    return out
+    return out, ev, pr
 
 
 def _check_thm1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
@@ -321,52 +329,26 @@ def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
 
 
 def _detangles_cleanly(graph: Graph, ev: MinSetFamily, members) -> bool:
-    # replay the left-branch iteration, holding every step to the script:
-    # both rewrites stay minimum, share one fewer pair, and agree on count
-    cap = len(members) ** 2
-    current = members
-    steps = 0
-    while sharing_pairs(current) > 0:
-        steps += 1
-        if steps > cap:
-            return False
-        pair = _smallest_sharing_pair(current)
-        try:
-            left, right, _, _ = twinning(graph, current, *pair)
-        except NotMinimumWitness:
-            return False
-        before = sharing_pairs(current)
-        left_pairs = sharing_pairs(left)
-        if left_pairs != sharing_pairs(right) or left_pairs >= before:
-            return False
-        if left == right:
-            return False
-        if not (ev.contains(left) and ev.contains(right)):
-            return False
-        current = left
+    # one detangle pass, each recorded step held to the script: both
+    # rewrites are distinct minimum sets with equally many sharing pairs,
+    # strictly fewer than before the step
     try:
         result = detangle(graph, members)
     except (NotMinimumWitness, InvariantViolation):
         return False
+    before = sharing_pairs(members)
+    for left, right in result.branches:
+        after = sharing_pairs(left)
+        if after != sharing_pairs(right) or after >= before:
+            return False
+        if left == right or not (ev.contains(left) and ev.contains(right)):
+            return False
+        before = after
     return (
-        result.left == current
-        and result.iterations == steps
+        before == 0
         and len(result.left) == len(members) == len(result.right)
-        and result.left != result.right
-        and sharing_pairs(result.left) == 0 == sharing_pairs(result.right)
         and spanned_vertices(result.left) != spanned_vertices(result.right)
-        and ev.contains(result.left)
-        and ev.contains(result.right)
     )
-
-
-def _smallest_sharing_pair(members):
-    ordered = sorted(members)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if set(a) & set(b):
-                return a, b
-    raise InvariantViolation("no sharing pair present")
 
 
 _CHECK_TABLE = {
@@ -504,9 +486,11 @@ def _census_slice(n: int, config: CensusConfig, pool) -> dict:
         expected = connected_class_count(n)
     if len(graphs) != expected:
         raise InvariantViolation(f"generated {len(graphs)} classes for n={n}, expected {expected}")
-    # contiguous chunks of the generation order, one per worker
+    # contiguous chunks of the generation order, several per worker: the
+    # order groups similar graphs (trees come last), so one chunk each
+    # would load the workers unevenly
     payload = [(g.n, g.edges) for g in graphs]
-    size = -(-len(payload) // config.worker_count)
+    size = -(-len(payload) // (CHUNKS_PER_WORKER * config.worker_count))
     tasks = [(payload[i:i + size], config.checks, config.budget) for i in range(0, len(payload), size)]
     parts = map(_verify_shard, tasks) if pool is None else pool.map(_verify_shard, tasks)
     verdicts = {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}
@@ -531,22 +515,19 @@ def _verify_shard(args):
     examples: list[dict] = []
     for n, edges in payload:
         graph = Graph(n, edges)
-        verdicts = verify_graph(graph, checks, budget)
+        verdicts, ev, pr = _verify_with_families(graph, checks, budget)
         for name, verdict in verdicts.items():
             counts[name][verdict] += 1
         failed = sorted(name for name, verdict in verdicts.items() if verdict == "fail")
-        if failed:
-            ev = solve_ev(graph, budget)
-            pr = solve_pr(graph, budget)
-            for name in failed:
-                examples.append({
-                    "graph6": emit_graph6(graph),
-                    "check": name,
-                    "gamma_ev": ev.gamma,
-                    "ev_sets": [[list(e) for e in m] for m in ev.sets],
-                    "gamma_pr": pr.gamma,
-                    "pr_sets": [list(d) for d in pr.sets],
-                })
+        for name in failed:
+            examples.append({
+                "graph6": emit_graph6(graph),
+                "check": name,
+                "gamma_ev": ev.gamma,
+                "ev_sets": [[list(e) for e in m] for m in ev.sets],
+                "gamma_pr": pr.gamma,
+                "pr_sets": [list(d) for d in pr.sets],
+            })
     return counts, examples
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .domination import Edge, ev_dominates
+from .domination import Edge
 from .errors import InvariantViolation, NotMinimumWitness
 from .graphs import Graph, normalize_edge
 
@@ -35,19 +35,31 @@ class DetangleResult:
 
     ``left`` is the fixed point of always rewriting the first branch,
     ``right`` the second branch produced on the final iteration, and
-    ``trace`` lists the left-branch steps in order.
+    ``trace`` lists the left-branch steps in order. ``branches`` holds
+    the (left, right) pair of sets that each step produced, in step
+    order: every left set is the input of the next step, and the last
+    pair is (``left``, ``right``).
     """
 
     left: tuple[Edge, ...]
     right: tuple[Edge, ...]
     trace: tuple[TwinningStep, ...]
     iterations: int
+    branches: tuple[tuple[tuple[Edge, ...], tuple[Edge, ...]], ...]
 
 
 def sharing_pairs(edges) -> int:
     """Number of unordered member pairs with a common endpoint."""
-    members = _normalized(edges)
-    return sum(1 for a, b in combinations(members, 2) if set(a) & set(b))
+    # two distinct edges share at most one vertex, so a vertex met by d
+    # members adds C(d, 2) pairs: the k-th member there pairs with k - 1
+    met: dict[int, int] = {}
+    pairs = 0
+    for e in {normalize_edge(u, v) for u, v in edges}:
+        for v in e:
+            d = met.get(v, 0)
+            pairs += d
+            met[v] = d + 1
+    return pairs
 
 
 def check_claim(graph: Graph, edges) -> bool:
@@ -80,10 +92,15 @@ def find_private_vertex(graph: Graph, edges, edge: Edge, anchor: int) -> int:
     if anchor not in edge:
         raise ValueError(f"vertex {anchor} is not an endpoint of {edge}")
     # every neighbor of the anchor is ev-dominated by the edge itself,
-    # so only domination by the other members needs ruling out
-    others = [e for e in members if e != edge]
+    # so only the coverage N[u] | N[v] of the other members is ruled out
+    covered = 0
+    for u, v in members:
+        if not graph.has_edge(u, v):
+            raise ValueError(f"({u}, {v}) is not an edge of the graph")
+        if (u, v) != edge:
+            covered |= graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v)
     for x in graph.neighbors(anchor):
-        if not any(ev_dominates(graph, e, x) for e in others):
+        if not covered >> x & 1:
             return x
     raise NotMinimumWitness(f"no private vertex for {edge} at {anchor}")
 
@@ -143,24 +160,21 @@ def detangle(graph: Graph, edges) -> DetangleResult:
         raise ValueError("the set has no sharing pair to rewrite")
     cap = len(members) ** 2
     current = members
-    right: tuple[Edge, ...] = ()
     trace: list[TwinningStep] = []
-    iterations = 0
-    while True:
-        pair = _first_sharing_pair(current)
-        if pair is None:
-            break
-        iterations += 1
-        if iterations > cap:
+    branches: list[tuple[tuple[Edge, ...], tuple[Edge, ...]]] = []
+    while (pair := _first_sharing_pair(current)) is not None:
+        if len(trace) == cap:
             raise InvariantViolation(f"detangle exceeded {cap} iterations")
         current, right, left_step, _ = twinning(graph, current, *pair)
         trace.append(left_step)
-    return DetangleResult(left=current, right=right, trace=tuple(trace), iterations=iterations)
+        branches.append((current, right))
+    return DetangleResult(left=current, right=right, trace=tuple(trace),
+                          iterations=len(trace), branches=tuple(branches))
 
 
 def _first_sharing_pair(members) -> tuple[Edge, Edge] | None:
     for a, b in combinations(members, 2):
-        if set(a) & set(b):
+        if a[0] in b or a[1] in b:
             return a, b
     return None
 

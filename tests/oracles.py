@@ -4,14 +4,16 @@ Everything here works straight from the definitions with none of the
 package's bitmask machinery, so agreement is meaningful: subset sweeps
 by explicit combinations, domination checked vertex by vertex through
 neighbor lists, matchings found by trying disjoint edge subsets, trees
-enumerated from labeled sequences and deduplicated.
+enumerated from labeled sequences and deduplicated. The lemma1 referee
+replays detangle from the definitions, then runs the package's
+``detangle`` and requires the same outcome.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from domicert import Graph, canonical_code
+from domicert import Graph, InvariantViolation, NotMinimumWitness, canonical_code, detangle
 
 
 def ev_dominates_naive(graph: Graph, edge, vertex: int) -> bool:
@@ -32,6 +34,77 @@ def min_ev_family_naive(graph: Graph):
         if found:
             return k, sorted(found)
     raise AssertionError("no ev-dominating set at any size")
+
+
+def sharing_pairs_naive(edges) -> int:
+    members = sorted({tuple(sorted(e)) for e in edges})
+    return sum(1 for a, b in combinations(members, 2) if set(a) & set(b))
+
+
+def private_vertex_naive(graph: Graph, members, edge, anchor: int):
+    """Smallest neighbor of the anchor no other member ev-dominates, or None."""
+    others = [e for e in members if e != edge]
+    candidates = [x for x in graph.neighbors(anchor)
+                  if not any(ev_dominates_naive(graph, e, x) for e in others)]
+    return min(candidates, default=None)
+
+
+def twinning_naive(graph: Graph, members, e1, e2):
+    """(left, right): e1, then e2, swapped for its pendant edge; None without a private vertex."""
+    (pivot,) = set(e1) & set(e2)
+    branches = []
+    for edge in (e1, e2):
+        outer = edge[0] if edge[1] == pivot else edge[1]
+        x = private_vertex_naive(graph, members, edge, outer)
+        if x is None:
+            return None
+        branches.append(tuple(sorted(set(members) - {edge} | {tuple(sorted((x, outer)))})))
+    return tuple(branches)
+
+
+def detangles_cleanly_referee(graph: Graph, ev, members) -> bool:
+    """Two-pass lemma1 check of one minimum ev-set with a sharing pair.
+
+    First replay the left-branch iteration step by step, holding each
+    step to the script: both rewrites are distinct members of the family
+    ``ev`` with equally many sharing pairs, strictly fewer than before.
+    Then run ``detangle`` and require the replay's outcome.
+    """
+    cap = len(members) ** 2
+    current = tuple(sorted(members))
+    right = None
+    steps = 0
+    while sharing_pairs_naive(current) > 0:
+        steps += 1
+        if steps > cap:
+            return False
+        pair = next((a, b) for a, b in combinations(current, 2) if set(a) & set(b))
+        branches = twinning_naive(graph, current, *pair)
+        if branches is None:
+            return False
+        left, right = branches
+        before = sharing_pairs_naive(current)
+        after = sharing_pairs_naive(left)
+        if after != sharing_pairs_naive(right) or after >= before:
+            return False
+        if left == right or not (ev.contains(left) and ev.contains(right)):
+            return False
+        current = left
+    try:
+        result = detangle(graph, members)
+    except (NotMinimumWitness, InvariantViolation):
+        return False
+    return (
+        result.left == current
+        and result.right == right
+        and result.iterations == steps
+        and len(result.left) == len(members) == len(result.right)
+        and result.left != result.right
+        and sharing_pairs_naive(result.left) == 0 == sharing_pairs_naive(result.right)
+        and {v for e in result.left for v in e} != {v for e in result.right for v in e}
+        and ev.contains(result.left)
+        and ev.contains(result.right)
+    )
 
 
 def is_dominating_naive(graph: Graph, vertices) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,10 @@ from domicert import (
     CapabilityError,
     CensusConfig,
     Graph,
+    MinSetFamily,
+    NotMinimumWitness,
     canonical_code,
+    detangle,
     figure1_claims,
     figure1_graph,
     generate_connected_graphs,
@@ -17,12 +21,15 @@ from domicert import (
     is_tree,
     parse_graph6,
     run_census,
+    solve_ev,
+    solve_pr,
     tree_class_count,
     verify_graph,
 )
+from domicert import census
 from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
 
-from .conftest import path_graph, pendant_cycle
+from .conftest import path_graph, pendant_cycle, spider_222
 from .oracles import connected_classes_labeled, tree_classes_prufer
 
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -150,6 +157,45 @@ class TestVerifyGraph:
             verify_graph(path_graph(3), ())
 
 
+class TestLemma1Failures:
+    def test_family_missing_a_branch_fails(self, monkeypatch):
+        # the spider's set {(0,1), (0,3), (5,6)} twins into {(0,3), (1,2), (5,6)}
+        # and {(0,1), (3,4), (5,6)}; without the second one lemma1 cannot hold
+        graph = spider_222()
+        full = solve_ev(graph)
+        right = ((0, 1), (3, 4), (5, 6))
+        assert verify_graph(graph, ("lemma1",)) == {"lemma1": "pass"}
+        assert right in full.sets and ((0, 1), (0, 3), (5, 6)) in full.sets
+        doctored = MinSetFamily(kind="ev", gamma=full.gamma,
+                                sets=tuple(m for m in full.sets if m != right), graph=graph)
+        monkeypatch.setattr(census, "solve_ev", lambda g, budget: doctored)
+        assert verify_graph(graph, ("lemma1",)) == {"lemma1": "fail"}
+
+    @pytest.mark.parametrize("mangle", [
+        lambda b1, b2: (b1, b1, b2),                  # a step keeps its sharing pairs
+        lambda b1, b2: ((b1[0], b1[0]), b2),          # both branches are one set
+        lambda b1, b2: ((b1[0], b2[1]), b2),          # branches differ in sharing pairs
+        lambda b1, b2: (b1,),                         # the last set still shares
+    ])
+    def test_each_step_invariant_is_checked(self, monkeypatch, mangle):
+        graph = spider_222()
+        ev = solve_ev(graph)
+        members = ((0, 1), (0, 3), (0, 5))
+        genuine = detangle(graph, members)
+        assert census._detangles_cleanly(graph, ev, members) is True
+        forged = dataclasses.replace(genuine, branches=mangle(*genuine.branches))
+        monkeypatch.setattr(census, "detangle", lambda g, m: forged)
+        assert census._detangles_cleanly(graph, ev, members) is False
+
+    def test_non_minimum_set_is_rejected_through_witness(self):
+        # {(0,1), (1,2)} dominates P4 but has no private vertex at 0
+        graph = path_graph(4)
+        members = ((0, 1), (1, 2))
+        with pytest.raises(NotMinimumWitness):
+            detangle(graph, members)
+        assert census._detangles_cleanly(graph, solve_ev(graph), members) is False
+
+
 class TestCensusConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -251,6 +297,16 @@ class TestRunCensus:
         for rec in found:
             assert rec["check"] == "thm2_probe"
             assert rec["gamma_pr"] == 2 * rec["gamma_ev"]
+
+    def test_probe_records_carry_the_solved_families(self, probe_at_8):
+        found = probe_at_8.per_n[8]["counterexamples"]
+        assert len(found) == 5
+        for rec in found:
+            graph = parse_graph6(rec["graph6"])
+            ev, pr = solve_ev(graph), solve_pr(graph)
+            assert (rec["gamma_ev"], rec["gamma_pr"]) == (ev.gamma, pr.gamma)
+            assert rec["ev_sets"] == [[list(e) for e in m] for m in ev.sets]
+            assert rec["pr_sets"] == [list(d) for d in pr.sets]
 
 
 class TestBundledFixture:

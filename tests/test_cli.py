@@ -181,6 +181,13 @@ class TestTwinAndDetangle:
         assert code == 2
         assert "no minimum" in err
 
+    def test_twin_non_edge(self, capsys, tmp_graph_file):
+        path = tmp_graph_file(SPIDER_TEXT)
+        code, out, err = run_cli(capsys, "twin", path, "--e1", "0,1", "--e2", "0,6")
+        assert code == 2
+        assert out == ""
+        assert "no minimum" in err and "Traceback" not in err
+
     def test_twin_malformed_edge(self, capsys, tmp_graph_file):
         path = tmp_graph_file(SPIDER_TEXT)
         code, _, _ = run_cli(capsys, "twin", path, "--e1", "0-1", "--e2", "0,3")

@@ -1,0 +1,107 @@
+"""The one-pass lemma1 check and the twinning primitives against slow referees.
+
+Every minimum ev-set of every tree with n <= 10 and every connected graph
+with n <= 6 is swept; sets with a sharing pair go through both lemma1
+checks, also against families with one set removed, so that the referee
+and the census check must agree on failing verdicts too.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from domicert import (
+    Graph,
+    MinSetFamily,
+    NotMinimumWitness,
+    find_private_vertex,
+    generate_connected_graphs,
+    generate_trees,
+    sharing_pairs,
+    solve_ev,
+)
+from domicert.census import _detangles_cleanly
+
+from .oracles import detangles_cleanly_referee, private_vertex_naive, sharing_pairs_naive
+
+
+@pytest.fixture(scope="module")
+def families():
+    graphs = [g for n in range(2, 11) for g in generate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in generate_connected_graphs(n)]
+    return [(g, solve_ev(g)) for g in graphs]
+
+
+@pytest.fixture(scope="module")
+def sharing_sets(families):
+    return [(g, ev, m) for g, ev in families for m in ev.sets if sharing_pairs_naive(m)]
+
+
+def _without(ev: MinSetFamily, dropped) -> MinSetFamily:
+    return MinSetFamily(kind=ev.kind, gamma=ev.gamma, sets=tuple(s for s in ev.sets if s != dropped),
+                        graph=ev.graph)
+
+
+def _assert_private_vertices_agree(graph: Graph, members) -> None:
+    for edge in members:
+        for anchor in edge:
+            expected = private_vertex_naive(graph, members, edge, anchor)
+            if expected is None:
+                with pytest.raises(NotMinimumWitness):
+                    find_private_vertex(graph, members, edge, anchor)
+            else:
+                assert find_private_vertex(graph, members, edge, anchor) == expected
+
+
+class TestLemma1Check:
+    def test_same_verdict_as_referee(self, sharing_sets):
+        # minimum ev-sets with a sharing pair, over the swept graphs
+        assert len(sharing_sets) == 338
+        for g, ev, m in sharing_sets:
+            assert _detangles_cleanly(g, ev, m) is detangles_cleanly_referee(g, ev, m) is True
+
+    def test_same_verdict_as_referee_with_a_set_removed(self, sharing_sets):
+        verdicts = set()
+        for g, ev, m in sharing_sets:
+            for dropped in ev.sets:
+                if dropped == m:
+                    continue
+                family = _without(ev, dropped)
+                verdict = _detangles_cleanly(g, family, m)
+                assert verdict is detangles_cleanly_referee(g, family, m)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+
+class TestTwinningPrimitives:
+    def test_sharing_pairs_matches_pairwise_count(self, families):
+        for g, ev in families:
+            for m in ev.sets:
+                assert sharing_pairs(m) == sharing_pairs_naive(m)
+                assert sharing_pairs(reversed([(v, u) for u, v in m])) == sharing_pairs_naive(m)
+
+    def test_find_private_vertex_matches_scan(self, sharing_sets):
+        for g, ev, m in sharing_sets:
+            _assert_private_vertices_agree(g, m)
+
+    def test_random_edge_sets(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def graph_and_subset(draw):
+            n = draw(st.integers(min_value=2, max_value=8))
+            slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = draw(st.lists(st.sampled_from(slots), min_size=1, unique=True))
+            members = draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+            return Graph(n, edges), tuple(sorted(members))
+
+        @settings(max_examples=200, deadline=None)
+        @given(graph_and_subset())
+        def check(case):
+            graph, members = case
+            assert sharing_pairs(members) == sharing_pairs_naive(members)
+            _assert_private_vertices_agree(graph, members)
+
+        check()

@@ -31,6 +31,10 @@ class TestSharingPairs:
     def test_order_independent(self):
         assert sharing_pairs(reversed(SPIDER_M)) == 1
 
+    def test_counts_a_set(self):
+        # a repeated edge, in either orientation, is one member
+        assert sharing_pairs([(0, 1), (1, 0), (1, 2)]) == 1
+
 
 class TestCheckClaim:
     def test_four_vertex_path_violates(self):
@@ -68,6 +72,14 @@ class TestFindPrivateVertex:
     def test_requires_membership(self):
         with pytest.raises(ValueError):
             find_private_vertex(spider_222(), SPIDER_M, (1, 2), 1)
+
+    def test_requires_graph_edges(self):
+        g = spider_222()
+        # (0, 6) is no edge of the spider, as another member or as the edge itself
+        with pytest.raises(ValueError, match="not an edge"):
+            find_private_vertex(g, [(0, 1), (0, 6)], (0, 1), 1)
+        with pytest.raises(ValueError, match="not an edge"):
+            find_private_vertex(g, [(0, 6), (1, 2)], (0, 6), 6)
 
     def test_requires_endpoint(self):
         with pytest.raises(ValueError):
@@ -133,6 +145,7 @@ class TestDetangle:
         assert result.iterations == 1
         assert len(result.trace) == 1
         assert result.trace[0].replaced_edge == (0, 1)
+        assert result.branches == ((result.left, result.right),)
 
     def test_rejects_sharing_free_input(self):
         with pytest.raises(ValueError):
@@ -151,7 +164,11 @@ class TestDetangle:
                     assert sharing_pairs(result.left) == 0
                     assert sharing_pairs(result.right) == 0
                     assert result.iterations <= len(members) ** 2
-                    assert len(result.trace) == result.iterations
+                    assert len(result.trace) == len(result.branches) == result.iterations
+                    assert result.branches[-1] == (result.left, result.right)
+                    for step, (left, right) in zip(result.trace, result.branches):
+                        assert step.inserted_edge in left and step.replaced_edge not in left
+                        assert family.contains(left) and family.contains(right)
                     assert is_ev_dominating_set(g, result.left)
                     assert is_ev_dominating_set(g, result.right)
                     assert family.contains(result.left)
