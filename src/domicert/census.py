@@ -489,9 +489,8 @@ def _census_slice(n: int, config: CensusConfig, pool) -> dict:
     # contiguous chunks of the generation order, several per worker: the
     # order groups similar graphs (trees come last), so one chunk each
     # would load the workers unevenly
-    payload = [(g.n, g.edges) for g in graphs]
-    size = -(-len(payload) // (CHUNKS_PER_WORKER * config.worker_count))
-    tasks = [(payload[i:i + size], config.checks, config.budget) for i in range(0, len(payload), size)]
+    size = -(-len(graphs) // (CHUNKS_PER_WORKER * config.worker_count))
+    tasks = [(graphs[i:i + size], config.checks, config.budget) for i in range(0, len(graphs), size)]
     parts = map(_verify_shard, tasks) if pool is None else pool.map(_verify_shard, tasks)
     verdicts = {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}
     examples: list[dict] = []
@@ -510,11 +509,10 @@ def _census_slice(n: int, config: CensusConfig, pool) -> dict:
 
 
 def _verify_shard(args):
-    payload, checks, budget = args
+    graphs, checks, budget = args
     counts = {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in checks}
     examples: list[dict] = []
-    for n, edges in payload:
-        graph = Graph(n, edges)
+    for graph in graphs:
         verdicts, ev, pr = _verify_with_families(graph, checks, budget)
         for name, verdict in verdicts.items():
             counts[name][verdict] += 1

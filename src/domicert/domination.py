@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CapabilityError, DomainError, InvariantViolation
-from .graphs import Graph, _matchable, normalize_edge
+from .graphs import Graph, _matchable, _tree_walk, is_tree, normalize_edge
 
 DEFAULT_BUDGET = 10**8
 
@@ -158,22 +158,12 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
     incident to it, still uncovered, has an uncovered child that only the
     parent edge can fix) state, the cheapest subtree completion.
     """
-    from .graphs import is_tree
-
     if not is_tree(graph):
         raise DomainError("tree solver needs a tree")
     n = graph.n
     if n < 2:
         raise DomainError("need at least two vertices")
-    parent = [-1] * n
-    order = [0]
-    seen = {0}
-    for v in order:
-        for u in graph.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
+    order, parent = _tree_walk(graph, 0)
     INF = n + 1
     # state table per vertex: (has_edge, needs_any, needs_parent_edge) -> cost
     table: list[dict[tuple[int, int, int], int] | None] = [None] * n
@@ -219,51 +209,33 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
 # --- shared search machinery -------------------------------------------
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise CapabilityError("search budget exhausted")
-
-
 def _min_edge_covers(graph: Graph, budget: int, matching: bool):
-    # Sizes are swept upward. A maximal matching has at most n // 2 edges
-    # and its span dominates a graph without isolated vertices, so both
-    # sweeps end by n // 2. Returns the first size with hits and the picks.
+    # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
+    # as lists of edges: a maximal matching has at most n // 2 edges and its
+    # span dominates a graph without isolated vertices. Each k is a
+    # depth-first search; edges come sorted by shrinking coverage, so one
+    # suffix test bounds the remaining range. An edge meeting the used
+    # endpoints is skipped (all-zero endpoint masks turn that off). Each
+    # search node, over all sizes, spends one unit of the budget.
     _require_solvable(graph)
     full = (1 << graph.n) - 1
     cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
     order = sorted(graph.edges, key=lambda e: (-cover[e].bit_count(), e))
     masks = [cover[e] for e in order]
-    sizes = [m.bit_count() for m in masks]
+    sizes = [mask.bit_count() for mask in masks]
     ends = [(1 << u | 1 << v) if matching else 0 for u, v in order]
-    counter = _Budget(budget)
-    for k in range(1, graph.n // 2 + 1):
-        hits: list[tuple[int, ...]] = []
-        _search_cover(masks, sizes, ends, full, k, counter, hits)
-        if hits:
-            return k, [[order[i] for i in pick] for pick in hits]
-    raise InvariantViolation("no ev-dominating matching up to n // 2 edges")
+    m = len(order)
+    left = budget
+    hits: list[list[Edge]] = []
 
-
-def _search_cover(masks, sizes, ends, full, k, counter, hits) -> None:
-    # Depth-first over index combinations; masks come sorted by shrinking
-    # coverage, so one suffix test bounds the whole remaining range. An
-    # edge whose endpoint mask meets the used endpoints is skipped; all-zero
-    # endpoint masks turn that prune off.
-    m = len(masks)
-
-    def descend(start: int, chosen: list[int], covered: int, used: int) -> None:
-        counter.spend()
-        slots = k - len(chosen)
+    def descend(start: int, slots: int, chosen: list[Edge], covered: int, used: int) -> None:
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise CapabilityError("search budget exhausted")
         if slots == 0:
             if covered == full:
-                hits.append(tuple(chosen))
+                hits.append(chosen[:])
             return
         missing = (full & ~covered).bit_count()
         for i in range(start, m - slots + 1):
@@ -271,11 +243,15 @@ def _search_cover(masks, sizes, ends, full, k, counter, hits) -> None:
                 break
             if ends[i] & used:
                 continue
-            chosen.append(i)
-            descend(i + 1, chosen, covered | masks[i], used | ends[i])
+            chosen.append(order[i])
+            descend(i + 1, slots - 1, chosen, covered | masks[i], used | ends[i])
             chosen.pop()
 
-    descend(0, [], 0, 0)
+    for k in range(1, graph.n // 2 + 1):
+        descend(0, k, [], 0, 0)
+        if hits:
+            return k, hits
+    raise InvariantViolation("no ev-dominating matching up to n // 2 edges")
 
 
 def _require_solvable(graph: Graph) -> None:

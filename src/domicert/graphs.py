@@ -267,6 +267,21 @@ def is_tree(graph: Graph) -> bool:
     return graph.edge_count == graph.n - 1 and is_connected(graph)
 
 
+def _tree_walk(graph: Graph, root: int) -> tuple[list[int], list[int]]:
+    # Breadth-first order from root and each vertex's parent, -1 at the root.
+    # Trees only: every neighbor except the parent is taken as a child, so
+    # on a graph with a cycle the walk never ends.
+    parent = [-1] * graph.n
+    order = [root]
+    for v in order:
+        p = parent[v]
+        for u in graph.adj[v]:
+            if u != p:
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
 def _matchable(bits: tuple[int, ...], mask: int, memo: dict[int, bool]) -> bool:
     # Pair off the lowest set vertex with each neighbor in turn.
     if mask == 0:
@@ -364,15 +379,7 @@ def _tree_code(graph: Graph) -> bytes:
 def _tree_centroids(graph: Graph) -> list[int]:
     # One or two vertices minimizing the largest component left by removal.
     n = graph.n
-    parent = [-1] * n
-    order = [0]
-    seen = {0}
-    for v in order:
-        for u in graph.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
+    order, parent = _tree_walk(graph, 0)
     size = [1] * n
     weight = [0] * n  # max component size after removing the vertex
     for v in reversed(order):
@@ -395,15 +402,7 @@ def _tree_centroids(graph: Graph) -> list[int]:
 def _rooted_code(graph: Graph, root: int) -> bytes:
     # Children codes sorted, wrapped in parentheses; iterative post-order.
     n = graph.n
-    parent = [-1] * n
-    order = [root]
-    seen = {root}
-    for v in order:
-        for u in graph.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
+    order, parent = _tree_walk(graph, root)
     code: list[bytes] = [b""] * n
     kids: list[list[bytes]] = [[] for _ in range(n)]
     for v in reversed(order):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from domicert import (
     NotMinimumWitness,
     canonical_code,
     detangle,
+    emit_graph6,
     figure1_claims,
     figure1_graph,
     generate_connected_graphs,
@@ -30,7 +32,7 @@ from domicert import census
 from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
 
 from .conftest import path_graph, pendant_cycle, spider_222
-from .oracles import connected_classes_labeled, tree_classes_prufer
+from .oracles import connected_classes_labeled, tree_classes_prufer, tree_from_prufer
 
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -124,6 +126,53 @@ class TestConnectedGeneration:
             next(generate_connected_graphs(9))
         with pytest.raises(CapabilityError):
             next(generate_connected_graphs(1))
+
+
+class TestPinnedCodes:
+    # report bytes depend on the canonical codes and on the generation
+    # order, so both are pinned to digests of earlier output
+
+    def test_tree_codes_and_order(self):
+        digest = hashlib.sha256()
+        for n in range(1, 13):
+            for g in generate_trees(n):
+                digest.update(canonical_code(g) + b"\n")
+        assert digest.hexdigest() == "2d05ff24a0b9305d2beb86103e54897909faa373f6299187da9f8ff1215dad3e"
+
+    def test_connected_codes_and_order(self):
+        digest = hashlib.sha256()
+        for n in range(2, 8):
+            for g in generate_connected_graphs(n):
+                digest.update(canonical_code(g) + b" " + emit_graph6(g).encode() + b"\n")
+        assert digest.hexdigest() == "f1a9515cc7026d53af96578fc6506a1e3fdf390d57df4d6574b0c7784cf22cb1"
+
+    def test_codes_survive_relabelling(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def prufer_tree(draw, max_n):
+            n = draw(st.integers(min_value=2, max_value=max_n))
+            seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+            return tree_from_prufer(seq, n)
+
+        @st.composite
+        def connected(draw):
+            # a random spanning tree plus random extra edges
+            tree = draw(prufer_tree(8))
+            slots = [(u, v) for u in range(tree.n) for v in range(u + 1, tree.n)]
+            extra = draw(st.lists(st.sampled_from(slots), unique=True))
+            return Graph(tree.n, tree.edges + tuple(extra))
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.one_of(prufer_tree(16), connected()), st.data())
+        def check(graph, data):
+            perm = data.draw(st.permutations(range(graph.n)))
+            image = Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
+            assert canonical_code(image) == canonical_code(graph)
+
+        check()
 
 
 class TestVerifyGraph:

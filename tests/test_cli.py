@@ -240,6 +240,7 @@ class TestCensusCommand:
                                "--n-min", "8", "--n-max", "8",
                                "--checks", "thm2_probe", "--workers", "4")
         assert code == 1
+        assert out.splitlines()[0] == "family=graphs n=8..8 checks=thm2_probe"
         assert "total: 11117 graphs, 5 counterexamples, 0 skipped" in out
 
     def test_budget_exit_three(self, capsys, monkeypatch):

@@ -23,6 +23,10 @@ from domicert import (
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222
 from .oracles import min_ev_family_naive, min_pr_family_naive
 
+# budget tests pin the search nodes a solve spends: the smallest budget
+# that finishes on each of these graphs
+BUDGET_IDS = ["pendant_cycle", "spider_222", "path_graph(8)", "cycle_graph(7)"]
+
 
 class TestPredicates:
     def test_ev_dominates_path(self):
@@ -81,9 +85,13 @@ class TestSolveEv:
         with pytest.raises(DomainError):
             solve_ev(Graph(1, ()))
 
-    def test_budget_exhaustion(self):
+    @pytest.mark.parametrize("graph, nodes", [
+        (pendant_cycle(), 37), (spider_222(), 52), (path_graph(8), 17), (cycle_graph(7), 29),
+    ], ids=BUDGET_IDS)
+    def test_budget_exhaustion(self, graph, nodes):
+        solve_ev(graph, budget=nodes)
         with pytest.raises(CapabilityError):
-            solve_ev(pendant_cycle(), budget=3)
+            solve_ev(graph, budget=nodes - 1)
 
     def test_families_sorted_and_duplicate_free(self):
         family = solve_ev(spider_222())
@@ -131,9 +139,13 @@ class TestSolvePr:
         with pytest.raises(DomainError):
             solve_pr(Graph(3, [(0, 1)]))
 
-    def test_budget_exhaustion(self):
+    @pytest.mark.parametrize("graph, nodes", [
+        (pendant_cycle(), 25), (spider_222(), 25), (path_graph(8), 13), (cycle_graph(7), 22),
+    ], ids=BUDGET_IDS)
+    def test_budget_exhaustion(self, graph, nodes):
+        solve_pr(graph, budget=nodes)
         with pytest.raises(CapabilityError):
-            solve_pr(pendant_cycle(), budget=3)
+            solve_pr(graph, budget=nodes - 1)
 
     @staticmethod
     def _check_against_naive(g):

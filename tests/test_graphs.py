@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -56,6 +57,13 @@ class TestGraphConstruction:
         g = spider_222()
         for v in range(g.n):
             assert tuple(sorted(u for u in range(g.n) if g.nbr_bits[v] >> u & 1)) == g.adj[v]
+
+    def test_pickle_round_trip(self):
+        # census shards hand graphs to pool workers by pickling them
+        g = pendant_cycle()
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g
+        assert (back.edges, back.adj, back.nbr_bits) == (g.edges, g.adj, g.nbr_bits)
 
 
 class TestEdgeListFormat:
