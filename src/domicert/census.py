@@ -3,9 +3,10 @@
 The census enumerates every isomorphism class in a size range, runs a
 configurable set of named checks against each graph, and aggregates the
 verdicts into a deterministic report: identical configurations produce
-byte-identical JSON regardless of worker count. Class counts are
-cross-checked against independently known values before any verdict is
-trusted.
+byte-identical JSON regardless of worker count. Graphs stream from the
+generator to the checks; once the stream is drained, the graphs counted
+per vertex count are cross-checked against independently known class
+counts.
 
 Check names:
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from multiprocessing import Pool
 
@@ -57,8 +58,9 @@ CONNECTED_GENERATION_BOUND = 8
 # largest census pool; a fixed cap rather than the host's CPU count, so a
 # configuration is valid or not the same way on every machine
 WORKER_BOUND = 32
-# census shards per pool worker
-CHUNKS_PER_WORKER = 4
+# graphs per pool task; batching spreads the pickling and messaging of a
+# task over several small graphs
+CHUNK_SIZE = 16
 
 # connected graph classes per vertex count, for generator cross-checks
 _CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -445,15 +447,35 @@ class CensusReport:
 def run_census(config: CensusConfig) -> CensusReport:
     """Enumerate, check and aggregate; deterministic for any worker count."""
     start = time.perf_counter()
-    per_n: dict[int, dict] = {}
+    if config.family == TREES:
+        generate, class_count = generate_trees, tree_class_count
+    else:
+        generate, class_count = generate_connected_graphs, connected_class_count
+    sizes = range(config.n_min, config.n_max + 1)
+    per_n = {n: {"graphs_examined": 0, "expected_count": class_count(n), "counterexamples": [],
+                 "verdicts": {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}}
+             for n in sizes}
+    # one stream in generation order; each graph is checked as it arrives
+    graphs = (g for n in sizes for g in generate(n))
+    task = partial(_census_task, checks=config.checks, budget=config.budget)
     pool = Pool(config.worker_count) if config.worker_count > 1 else None
     try:
-        for n in range(config.n_min, config.n_max + 1):
-            per_n[n] = _census_slice(n, config, pool)
+        results = map(task, graphs) if pool is None else pool.imap(task, graphs, CHUNK_SIZE)
+        for n, verdicts, examples in results:
+            record = per_n[n]
+            record["graphs_examined"] += 1
+            for name, verdict in verdicts.items():
+                record["verdicts"][name][verdict] += 1
+            record["counterexamples"].extend(examples)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+    for n, record in per_n.items():
+        if record["graphs_examined"] != record["expected_count"]:
+            raise InvariantViolation(
+                f"generated {record['graphs_examined']} classes for n={n}, expected {record['expected_count']}")
+        record["counterexamples"].sort(key=lambda rec: (rec["graph6"], rec["check"]))
     totals_verdicts = {
         name: {verdict: sum(per_n[n]["verdicts"][name][verdict] for n in per_n)
                for verdict in ("pass", "fail", "skip", "na")}
@@ -477,56 +499,18 @@ def run_census(config: CensusConfig) -> CensusReport:
     )
 
 
-def _census_slice(n: int, config: CensusConfig, pool) -> dict:
-    if config.family == TREES:
-        graphs = list(generate_trees(n))
-        expected = tree_class_count(n)
-    else:
-        graphs = list(generate_connected_graphs(n))
-        expected = connected_class_count(n)
-    if len(graphs) != expected:
-        raise InvariantViolation(f"generated {len(graphs)} classes for n={n}, expected {expected}")
-    # contiguous chunks of the generation order, several per worker: the
-    # order groups similar graphs (trees come last), so one chunk each
-    # would load the workers unevenly
-    size = -(-len(graphs) // (CHUNKS_PER_WORKER * config.worker_count))
-    tasks = [(graphs[i:i + size], config.checks, config.budget) for i in range(0, len(graphs), size)]
-    parts = map(_verify_shard, tasks) if pool is None else pool.map(_verify_shard, tasks)
-    verdicts = {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}
-    examples: list[dict] = []
-    for counts, found in parts:
-        for name, by_verdict in counts.items():
-            for verdict, count in by_verdict.items():
-                verdicts[name][verdict] += count
-        examples.extend(found)
-    examples.sort(key=lambda rec: (rec["graph6"], rec["check"]))
-    return {
-        "graphs_examined": len(graphs),
-        "expected_count": expected,
-        "verdicts": verdicts,
-        "counterexamples": examples,
-    }
-
-
-def _verify_shard(args):
-    graphs, checks, budget = args
-    counts = {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in checks}
-    examples: list[dict] = []
-    for graph in graphs:
-        verdicts, ev, pr = _verify_with_families(graph, checks, budget)
-        for name, verdict in verdicts.items():
-            counts[name][verdict] += 1
-        failed = sorted(name for name, verdict in verdicts.items() if verdict == "fail")
-        for name in failed:
-            examples.append({
-                "graph6": emit_graph6(graph),
-                "check": name,
-                "gamma_ev": ev.gamma,
-                "ev_sets": [[list(e) for e in m] for m in ev.sets],
-                "gamma_pr": pr.gamma,
-                "pr_sets": [list(d) for d in pr.sets],
-            })
-    return counts, examples
+def _census_task(graph: Graph, checks, budget: int):
+    # (n, verdicts, counterexample records) of one graph
+    verdicts, ev, pr = _verify_with_families(graph, checks, budget)
+    examples = [{
+        "graph6": emit_graph6(graph),
+        "check": name,
+        "gamma_ev": ev.gamma,
+        "ev_sets": [[list(e) for e in m] for m in ev.sets],
+        "gamma_pr": pr.gamma,
+        "pr_sets": [list(d) for d in pr.sets],
+    } for name in sorted(verdicts) if verdicts[name] == "fail"]
+    return graph.n, verdicts, examples
 
 
 # --- bundled counterexample fixture ----------------------------------------

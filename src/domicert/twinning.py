@@ -91,18 +91,8 @@ def find_private_vertex(graph: Graph, edges, edge: Edge, anchor: int) -> int:
         raise ValueError(f"{edge} is not a member of the set")
     if anchor not in edge:
         raise ValueError(f"vertex {anchor} is not an endpoint of {edge}")
-    # every neighbor of the anchor is ev-dominated by the edge itself,
-    # so only the coverage N[u] | N[v] of the other members is ruled out
-    covered = 0
-    for u, v in members:
-        if not graph.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of the graph")
-        if (u, v) != edge:
-            covered |= graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v)
-    for x in graph.neighbors(anchor):
-        if not covered >> x & 1:
-            return x
-    raise NotMinimumWitness(f"no private vertex for {edge} at {anchor}")
+    _require_graph_edges(graph, members)
+    return _private_vertex(graph, members, edge, anchor)
 
 
 def twinning(graph: Graph, edges, e1: Edge, e2: Edge):
@@ -120,30 +110,10 @@ def twinning(graph: Graph, edges, e1: Edge, e2: Edge):
         raise ValueError("need two distinct edges")
     if e1 not in members or e2 not in members:
         raise ValueError("both edges must be members of the set")
-    shared = set(e1) & set(e2)
-    if len(shared) != 1:
+    if len(set(e1) & set(e2)) != 1:
         raise ValueError(f"{e1} and {e2} must share exactly one vertex")
-    pivot = shared.pop()
-    out1 = e1[0] if e1[1] == pivot else e1[1]
-    out2 = e2[0] if e2[1] == pivot else e2[1]
-    x0 = find_private_vertex(graph, members, e1, out1)
-    x4 = find_private_vertex(graph, members, e2, out2)
-    left_step = TwinningStep(
-        replaced_edge=e1,
-        inserted_edge=normalize_edge(x0, out1),
-        private_vertex=x0,
-        shared_vertex=pivot,
-    )
-    right_step = TwinningStep(
-        replaced_edge=e2,
-        inserted_edge=normalize_edge(x4, out2),
-        private_vertex=x4,
-        shared_vertex=pivot,
-    )
-    base = set(members)
-    left = tuple(sorted(base - {e1} | {left_step.inserted_edge}))
-    right = tuple(sorted(base - {e2} | {right_step.inserted_edge}))
-    return left, right, left_step, right_step
+    _require_graph_edges(graph, members)
+    return _twin(graph, members, e1, e2)
 
 
 def detangle(graph: Graph, edges) -> DetangleResult:
@@ -158,6 +128,10 @@ def detangle(graph: Graph, edges) -> DetangleResult:
     members = _normalized(edges)
     if sharing_pairs(members) == 0:
         raise ValueError("the set has no sharing pair to rewrite")
+    # a repeated member can only be the first pair: each step drops repeats
+    if len(set(_first_sharing_pair(members))) == 1:
+        raise ValueError("need two distinct edges")
+    _require_graph_edges(graph, members)
     cap = len(members) ** 2
     current = members
     trace: list[TwinningStep] = []
@@ -165,11 +139,47 @@ def detangle(graph: Graph, edges) -> DetangleResult:
     while (pair := _first_sharing_pair(current)) is not None:
         if len(trace) == cap:
             raise InvariantViolation(f"detangle exceeded {cap} iterations")
-        current, right, left_step, _ = twinning(graph, current, *pair)
+        current, right, left_step, _ = _twin(graph, current, *pair)
         trace.append(left_step)
         branches.append((current, right))
     return DetangleResult(left=current, right=right, trace=tuple(trace),
                           iterations=len(trace), branches=tuple(branches))
+
+
+# The private cores take members as a sorted tuple of normalized graph
+# edges and edges that are members of it; the public functions above
+# check that once.
+def _private_vertex(graph: Graph, members, edge: Edge, anchor: int) -> int:
+    # every neighbor of the anchor is ev-dominated by the edge itself,
+    # so only the coverage N[u] | N[v] of the other members is ruled out
+    covered = 0
+    for u, v in members:
+        if (u, v) != edge:
+            covered |= graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v)
+    for x in graph.neighbors(anchor):
+        if not covered >> x & 1:
+            return x
+    raise NotMinimumWitness(f"no private vertex for {edge} at {anchor}")
+
+
+def _twin(graph: Graph, members, e1: Edge, e2: Edge):
+    # twinning on members e1 != e2 that share exactly one vertex
+    pivot = e1[0] if e1[0] in e2 else e1[1]
+    steps = []
+    for edge in (e1, e2):
+        outer = edge[0] + edge[1] - pivot
+        x = _private_vertex(graph, members, edge, outer)
+        steps.append(TwinningStep(replaced_edge=edge, inserted_edge=normalize_edge(x, outer),
+                                  private_vertex=x, shared_vertex=pivot))
+    base = set(members)
+    left, right = (tuple(sorted(base - {step.replaced_edge} | {step.inserted_edge})) for step in steps)
+    return left, right, *steps
+
+
+def _require_graph_edges(graph: Graph, members) -> None:
+    for u, v in members:
+        if not graph.has_edge(u, v):
+            raise ValueError(f"({u}, {v}) is not an edge of the graph")
 
 
 def _first_sharing_pair(members) -> tuple[Edge, Edge] | None:

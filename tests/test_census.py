@@ -10,6 +10,7 @@ from domicert import (
     CapabilityError,
     CensusConfig,
     Graph,
+    InvariantViolation,
     MinSetFamily,
     NotMinimumWitness,
     canonical_code,
@@ -335,6 +336,55 @@ class TestRunCensus:
     def test_rerun_byte_identical(self):
         cfg = CensusConfig(family="connected_graphs", n_min=2, n_max=5)
         assert run_census(cfg).to_json() == run_census(cfg).to_json()
+
+    def test_each_graph_verified_before_the_next_is_generated(self, monkeypatch):
+        events = []
+        generate, verify = census.generate_trees, census._verify_with_families
+
+        def recording_generate(n):
+            for graph in generate(n):
+                events.append(("yield", emit_graph6(graph)))
+                yield graph
+
+        def recording_verify(graph, checks, budget):
+            events.append(("verify", emit_graph6(graph)))
+            return verify(graph, checks, budget)
+
+        monkeypatch.setattr(census, "generate_trees", recording_generate)
+        monkeypatch.setattr(census, "_verify_with_families", recording_verify)
+        run_census(CensusConfig(family="trees", n_min=4, n_max=6, worker_count=1))
+        labels = [emit_graph6(g) for n in range(4, 7) for g in generate(n)]
+        assert events == [(event, label) for label in labels for event in ("yield", "verify")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_class_count_mismatch_raises(self, monkeypatch, workers):
+        generate = census.generate_trees
+        monkeypatch.setattr(census, "generate_trees",
+                            lambda n: list(generate(n))[:-1] if n == 7 else generate(n))
+        with pytest.raises(InvariantViolation, match=r"^generated 10 classes for n=7, expected 11$"):
+            run_census(CensusConfig(family="trees", n_min=5, n_max=8, worker_count=workers))
+
+    def test_pool_gets_one_imap_over_all_sizes(self, monkeypatch):
+        calls = []
+
+        class SerialPool:
+            def __init__(self, workers):
+                calls.append(("pool", workers))
+
+            def imap(self, func, iterable, chunksize):
+                calls.append(("imap", chunksize))
+                return map(func, iterable)
+
+            def close(self):
+                calls.append("close")
+
+            def join(self):
+                calls.append("join")
+
+        monkeypatch.setattr(census, "Pool", SerialPool)
+        pooled = run_census(CensusConfig(family="trees", n_min=2, n_max=8, worker_count=3))
+        assert calls == [("pool", 3), ("imap", census.CHUNK_SIZE), "close", "join"]
+        assert pooled.to_json() == run_census(CensusConfig(family="trees", n_min=2, n_max=8)).to_json()
 
     def test_probe_finds_pendant_cycle_class_at_eight(self, probe_at_8):
         # the census is shared with the acceptance suite through conftest

@@ -59,7 +59,7 @@ class TestGraphConstruction:
             assert tuple(sorted(u for u in range(g.n) if g.nbr_bits[v] >> u & 1)) == g.adj[v]
 
     def test_pickle_round_trip(self):
-        # census shards hand graphs to pool workers by pickling them
+        # the census hands graphs to pool workers by pickling them
         g = pendant_cycle()
         back = pickle.loads(pickle.dumps(g))
         assert back == g

@@ -151,6 +151,16 @@ class TestDetangle:
         with pytest.raises(ValueError):
             detangle(pendant_cycle(), [(0, 1), (2, 3)])
 
+    def test_checks_in_twinning_order(self):
+        g = spider_222()
+        # a repeated member as the first sharing pair, then a non-edge (2, 5)
+        with pytest.raises(ValueError, match="need two distinct edges"):
+            detangle(g, [(0, 1), (1, 0), (0, 3), (2, 5)])
+        with pytest.raises(ValueError, match=r"\(2, 5\) is not an edge"):
+            detangle(g, [(0, 1), (0, 3), (2, 5)])
+        # a repeat further on is dropped by the first step
+        assert detangle(g, [(0, 1), (0, 3), (5, 6), (6, 5)]) == detangle(g, SPIDER_M)
+
     def test_census_sweep_invariants(self):
         for n in range(2, 10):
             for g in generate_trees(n):
