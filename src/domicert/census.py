@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 from importlib import resources
 from multiprocessing import Pool
 
-from .domination import DEFAULT_BUDGET, MinSetFamily, solve_ev, solve_pr, spanned_vertices
+from .domination import DEFAULT_BUDGET, MinSetFamily, solve_families, spanned_vertices
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
 from .graphs import (
     Graph,
@@ -45,7 +45,7 @@ from .graphs import (
     perfect_matchings_within,
     reachable_bits,
 )
-from .twinning import check_claim, detangle, sharing_pairs
+from .twinning import _claim_holds, _sharing_pairs, detangle
 
 TREES = "trees"
 CONNECTED = "connected_graphs"
@@ -263,8 +263,7 @@ def _verify_with_families(graph: Graph, checks, budget: int):
     # read from (both None when the budget ran out)
     names = _validated_checks(checks)
     try:
-        ev = solve_ev(graph, budget)
-        pr = solve_pr(graph, budget)
+        ev, pr = solve_families(graph, budget)
     except CapabilityError:
         return {name: "skip" for name in names}, None, None
     tree = is_tree(graph)
@@ -318,32 +317,34 @@ def _check_cor_general2(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> boo
 
 
 def _check_claim(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    return all(check_claim(graph, m) for m in ev.sets)
+    return all(_claim_holds(m) for m in ev.sets)
 
 
 def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    minimum = set(ev.sets)
     for m in ev.sets:
-        if sharing_pairs(m) == 0:
+        if _sharing_pairs(m) == 0:
             continue
-        if not _detangles_cleanly(graph, ev, m):
+        if not _detangles_cleanly(graph, minimum, m):
             return False
     return True
 
 
-def _detangles_cleanly(graph: Graph, ev: MinSetFamily, members) -> bool:
+def _detangles_cleanly(graph: Graph, minimum: set, members) -> bool:
     # one detangle pass, each recorded step held to the script: both
-    # rewrites are distinct minimum sets with equally many sharing pairs,
+    # rewrites are distinct minimum sets (members of ``minimum``, the
+    # family's sorted edge tuples) with equally many sharing pairs,
     # strictly fewer than before the step
     try:
         result = detangle(graph, members)
     except (NotMinimumWitness, InvariantViolation):
         return False
-    before = sharing_pairs(members)
+    before = _sharing_pairs(members)
     for left, right in result.branches:
-        after = sharing_pairs(left)
-        if after != sharing_pairs(right) or after >= before:
+        after = _sharing_pairs(left)
+        if after != _sharing_pairs(right) or after >= before:
             return False
-        if left == right or not (ev.contains(left) and ev.contains(right)):
+        if left == right or left not in minimum or right not in minimum:
             return False
         before = after
     return (
@@ -524,8 +525,7 @@ def figure1_graph() -> Graph:
 
 def figure1_claims(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[str, bool], ...]:
     """The five claims the pendant-cycle fixture is shipped to witness."""
-    ev = solve_ev(graph, budget)
-    pr = solve_pr(graph, budget)
+    ev, pr = solve_families(graph, budget)
     spans = {spanned_vertices(m) for m in ev.sets}
     return (
         ("gamma_ev == 2", ev.gamma == 2),

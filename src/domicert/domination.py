@@ -12,8 +12,13 @@ coverages union to every vertex, so the paired solver searches for
 ev-dominating matchings (edges with pairwise disjoint endpoints) and
 returns their distinct spans. Each solver sweeps the number of edges
 upward and collects every feasible choice at the first size that admits
-one. Search nodes are counted against a budget so a runaway search
-surfaces as CapabilityError instead of a silent hang.
+one. ``solve_families`` reads both families off one ev search: the
+minimum ev-sets that are matchings span the minimum paired sets whenever
+any of them is a matching, and only when none is (gamma_pr would then
+differ from 2 * gamma_ev) does it run the paired search too, so its
+answer is exact without assuming that identity. Search nodes are counted
+against a budget so a runaway search surfaces as CapabilityError instead
+of a silent hang.
 """
 
 from __future__ import annotations
@@ -111,16 +116,27 @@ def is_paired_dominating_set(graph: Graph, vertices) -> bool:
 
 def solve_ev(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
     """All minimum ev-dominating sets."""
-    k, picks = _min_edge_covers(graph, budget, matching=False)
-    sets = tuple(sorted(tuple(sorted(pick)) for pick in picks))
-    return MinSetFamily(kind="ev", gamma=k, sets=sets, graph=graph)
+    return _ev_family(graph, *_min_edge_covers(graph, budget, matching=False))
 
 
 def solve_pr(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
     """All minimum paired-dominating sets, as spans of minimum ev-dominating matchings."""
-    k, picks = _min_edge_covers(graph, budget, matching=True)
-    sets = tuple(sorted({tuple(sorted(spanned_vertices(pick))) for pick in picks}))
-    return MinSetFamily(kind="paired", gamma=2 * k, sets=sets, graph=graph)
+    return _pr_family(graph, *_min_edge_covers(graph, budget, matching=True))
+
+
+def solve_families(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[MinSetFamily, MinSetFamily]:
+    """``(solve_ev(graph), solve_pr(graph))``, both from the ev search.
+
+    Raises CapabilityError exactly when either solver would on its own
+    with the same budget.
+    """
+    k, picks = _min_edge_covers(graph, budget, matching=False)
+    ev = _ev_family(graph, k, picks)
+    matchings = [pick for pick in picks if len(spanned_vertices(pick)) == 2 * k]
+    if not matchings:
+        # then gamma_pr != 2 * gamma_ev, which the census checks, not assumes
+        return ev, solve_pr(graph, budget)
+    return ev, _pr_family(graph, k, matchings)
 
 
 def spanned_vertices(edges) -> frozenset[int]:
@@ -209,6 +225,16 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
 # --- shared search machinery -------------------------------------------
 
 
+def _ev_family(graph: Graph, k: int, picks) -> MinSetFamily:
+    sets = tuple(sorted(tuple(sorted(pick)) for pick in picks))
+    return MinSetFamily(kind="ev", gamma=k, sets=sets, graph=graph)
+
+
+def _pr_family(graph: Graph, k: int, picks) -> MinSetFamily:
+    sets = tuple(sorted({tuple(sorted(spanned_vertices(pick))) for pick in picks}))
+    return MinSetFamily(kind="paired", gamma=2 * k, sets=sets, graph=graph)
+
+
 def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
     # as lists of edges: a maximal matching has at most n // 2 edges and its
@@ -216,7 +242,11 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     # depth-first search; edges come sorted by shrinking coverage, so one
     # suffix test bounds the remaining range. An edge meeting the used
     # endpoints is skipped (all-zero endpoint masks turn that off). Each
-    # search node, over all sizes, spends one unit of the budget.
+    # search node, over all sizes, spends one unit of the budget. Up to
+    # the ev search's last size the matching search visits a subset of its
+    # nodes (the same bounds, plus the skip), so a finished ev search whose
+    # hits include a matching also certifies the matching search's budget:
+    # solve_families runs out exactly when solve_ev or solve_pr would.
     _require_solvable(graph)
     full = (1 << graph.n) - 1
     cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}

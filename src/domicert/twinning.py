@@ -50,33 +50,12 @@ class DetangleResult:
 
 def sharing_pairs(edges) -> int:
     """Number of unordered member pairs with a common endpoint."""
-    # two distinct edges share at most one vertex, so a vertex met by d
-    # members adds C(d, 2) pairs: the k-th member there pairs with k - 1
-    met: dict[int, int] = {}
-    pairs = 0
-    for e in {normalize_edge(u, v) for u, v in edges}:
-        for v in e:
-            d = met.get(v, 0)
-            pairs += d
-            met[v] = d + 1
-    return pairs
+    return _sharing_pairs({normalize_edge(u, v) for u, v in edges})
 
 
 def check_claim(graph: Graph, edges) -> bool:
     """No three members form a path on four vertices or a triangle."""
-    members = _normalized(edges)
-    for triple in combinations(members, 3):
-        verts = {v for e in triple for v in e}
-        if len(verts) == 3:
-            return False
-        if len(verts) == 4:
-            degree: dict[int, int] = {}
-            for u, v in triple:
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            if sorted(degree.values()) == [1, 1, 2, 2]:
-                return False
-    return True
+    return _claim_holds({normalize_edge(u, v) for u, v in edges})
 
 
 def find_private_vertex(graph: Graph, edges, edge: Edge, anchor: int) -> int:
@@ -146,9 +125,36 @@ def detangle(graph: Graph, edges) -> DetangleResult:
                           iterations=len(trace), branches=tuple(branches))
 
 
-# The private cores take members as a sorted tuple of normalized graph
-# edges and edges that are members of it; the public functions above
-# check that once.
+# The private cores take members as distinct normalized edges; the last
+# two need them as a sorted tuple of graph edges, and edges that are
+# members of it. The public functions above check that once.
+def _sharing_pairs(members) -> int:
+    # two distinct edges share at most one vertex, so a vertex met by d
+    # members adds C(d, 2) pairs: the k-th member there pairs with k - 1
+    met: dict[int, int] = {}
+    pairs = 0
+    for u, v in members:
+        d = met.get(u, 0)
+        f = met.get(v, 0)
+        met[u] = d + 1
+        met[v] = f + 1
+        pairs += d + f
+    return pairs
+
+
+def _claim_holds(members) -> bool:
+    # three members form a P4 or a triangle exactly when some member meets
+    # another member at each of its endpoints: those two others differ,
+    # since a member meeting both endpoints would be the same edge, and
+    # their far ends coincide (triangle) or not (P4)
+    seen = twice = 0
+    for u, v in members:
+        ends = 1 << u | 1 << v
+        twice |= seen & ends
+        seen |= ends
+    return not twice or not any(twice >> u & 1 and twice >> v & 1 for u, v in members)
+
+
 def _private_vertex(graph: Graph, members, edge: Edge, anchor: int) -> int:
     # every neighbor of the anchor is ev-dominated by the edge itself,
     # so only the coverage N[u] | N[v] of the other members is ruled out

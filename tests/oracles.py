@@ -41,6 +41,23 @@ def sharing_pairs_naive(edges) -> int:
     return sum(1 for a, b in combinations(members, 2) if set(a) & set(b))
 
 
+def claim_holds_naive(edges) -> bool:
+    """No three distinct members form a path on four vertices or a triangle, triple by triple."""
+    members = sorted({tuple(sorted(e)) for e in edges})
+    for triple in combinations(members, 3):
+        verts = {v for e in triple for v in e}
+        if len(verts) == 3:
+            return False
+        if len(verts) == 4:
+            degree: dict[int, int] = {}
+            for u, v in triple:
+                degree[u] = degree.get(u, 0) + 1
+                degree[v] = degree.get(v, 0) + 1
+            if sorted(degree.values()) == [1, 1, 2, 2]:
+                return False
+    return True
+
+
 def private_vertex_naive(graph: Graph, members, edge, anchor: int):
     """Smallest neighbor of the anchor no other member ev-dominates, or None."""
     others = [e for e in members if e != edge]

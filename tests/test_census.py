@@ -176,6 +176,27 @@ class TestPinnedCodes:
         check()
 
 
+class TestPinnedReports:
+    # report sha256 of the censuses the benchmark runs, and of the shared
+    # n=8 probe, taken from earlier output: the report bytes must not move
+
+    @staticmethod
+    def _digest(report) -> str:
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    def test_trees_standard_checks(self):
+        report = run_census(CensusConfig(family="trees", n_min=2, n_max=12, checks=STANDARD_CHECKS))
+        assert self._digest(report) == "5c4fa5b414df83107b6708374046c61832b4847337a319e779e143aa3fae1c6b"
+
+    def test_connected_all_checks(self):
+        report = run_census(CensusConfig(family="connected_graphs", n_min=2, n_max=7,
+                                         checks=CHECK_NAMES, worker_count=2))
+        assert self._digest(report) == "045122cbdf2a3d179c489f097161d9352388688e82fb2e538d6c18e605581ada"
+
+    def test_probe_at_eight(self, probe_at_8):
+        assert self._digest(probe_at_8) == "235c33a2f1978d0987371a8c99d779b8d1b4b52ec799c0dcabbaaeee64dba20b"
+
+
 class TestVerifyGraph:
     def test_path_all_pass(self):
         verdicts = verify_graph(path_graph(4), CHECK_NAMES)
@@ -218,7 +239,7 @@ class TestLemma1Failures:
         assert right in full.sets and ((0, 1), (0, 3), (5, 6)) in full.sets
         doctored = MinSetFamily(kind="ev", gamma=full.gamma,
                                 sets=tuple(m for m in full.sets if m != right), graph=graph)
-        monkeypatch.setattr(census, "solve_ev", lambda g, budget: doctored)
+        monkeypatch.setattr(census, "solve_families", lambda g, budget: (doctored, solve_pr(g)))
         assert verify_graph(graph, ("lemma1",)) == {"lemma1": "fail"}
 
     @pytest.mark.parametrize("mangle", [
@@ -229,13 +250,13 @@ class TestLemma1Failures:
     ])
     def test_each_step_invariant_is_checked(self, monkeypatch, mangle):
         graph = spider_222()
-        ev = solve_ev(graph)
+        minimum = set(solve_ev(graph).sets)
         members = ((0, 1), (0, 3), (0, 5))
         genuine = detangle(graph, members)
-        assert census._detangles_cleanly(graph, ev, members) is True
+        assert census._detangles_cleanly(graph, minimum, members) is True
         forged = dataclasses.replace(genuine, branches=mangle(*genuine.branches))
         monkeypatch.setattr(census, "detangle", lambda g, m: forged)
-        assert census._detangles_cleanly(graph, ev, members) is False
+        assert census._detangles_cleanly(graph, minimum, members) is False
 
     def test_non_minimum_set_is_rejected_through_witness(self):
         # {(0,1), (1,2)} dominates P4 but has no private vertex at 0
@@ -243,7 +264,7 @@ class TestLemma1Failures:
         members = ((0, 1), (1, 2))
         with pytest.raises(NotMinimumWitness):
             detangle(graph, members)
-        assert census._detangles_cleanly(graph, solve_ev(graph), members) is False
+        assert census._detangles_cleanly(graph, set(solve_ev(graph).sets), members) is False
 
 
 class TestCensusConfig:

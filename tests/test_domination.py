@@ -15,6 +15,7 @@ from domicert import (
     is_paired_dominating_set,
     perfect_matchings_within,
     solve_ev,
+    solve_families,
     solve_pr,
     spanned_vertices,
     uniqueness,
@@ -165,6 +166,66 @@ class TestSolvePr:
         for n in range(2, 7):
             for g in generate_connected_graphs(n):
                 self._check_against_naive(g)
+
+
+class _Distorted(Graph):
+    """A tree with coverage masks no graph has: its one minimum ev-set is no matching.
+
+    Its edges (0,1) and (0,2) cover everything together, no two disjoint
+    edges do, and the matching (0,1), (3,4), (5,6) is the smallest one
+    that does, so gamma_pr = 6 != 2 * gamma_ev.
+    """
+
+    CLOSED = (0b1, 0b11010, 0b1100100, 0b1100, 0b10000, 0b100000, 0b1000000)
+
+    def __init__(self):
+        super().__init__(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])
+
+    def closed_nbr_bits(self, v: int) -> int:
+        return self.CLOSED[v]
+
+
+def _finishes(solve, graph, budget) -> bool:
+    try:
+        solve(graph, budget)
+    except CapabilityError:
+        return False
+    return True
+
+
+class TestSolveFamilies:
+    def test_matches_both_solvers_on_trees(self):
+        for n in range(2, 13):
+            for g in generate_trees(n):
+                assert solve_families(g) == (solve_ev(g), solve_pr(g))
+
+    def test_matches_both_solvers_on_connected(self):
+        for n in range(2, 8):
+            for g in generate_connected_graphs(n):
+                assert solve_families(g) == (solve_ev(g), solve_pr(g))
+
+    def test_raises_exactly_when_either_solver_does(self):
+        graphs = [pendant_cycle(), spider_222(), path_graph(8), cycle_graph(7), _Distorted()]
+        graphs += [g for n in range(2, 9) for g in generate_trees(n)]
+        for g in graphs:
+            for budget in range(1, 61):
+                alone = _finishes(solve_ev, g, budget) and _finishes(solve_pr, g, budget)
+                assert _finishes(solve_families, g, budget) is alone
+
+    @pytest.mark.parametrize("graph, nodes", [
+        (pendant_cycle(), 37), (spider_222(), 52), (path_graph(8), 17), (cycle_graph(7), 29),
+    ], ids=BUDGET_IDS)
+    def test_budget_exhaustion(self, graph, nodes):
+        solve_families(graph, budget=nodes)
+        with pytest.raises(CapabilityError):
+            solve_families(graph, budget=nodes - 1)
+
+    def test_exact_when_no_minimum_ev_set_is_a_matching(self):
+        g = _Distorted()
+        ev, pr = solve_families(g)
+        assert (ev.gamma, ev.sets) == (2, (((0, 1), (0, 2)),))
+        assert (pr.gamma, pr.sets) == (6, ((0, 1, 3, 4, 5, 6),))
+        assert (ev, pr) == (solve_ev(g), solve_pr(g))
 
 
 class TestStructuralInvariants:

@@ -1,4 +1,4 @@
-"""The one-pass lemma1 check and the twinning primitives against slow referees.
+"""The one-pass lemma1 check, the claim check and the twinning primitives against slow referees.
 
 Every minimum ev-set of every tree with n <= 10 and every connected graph
 with n <= 6 is swept; sets with a sharing pair go through both lemma1
@@ -8,12 +8,16 @@ and the census check must agree on failing verdicts too.
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from domicert import (
     Graph,
     MinSetFamily,
     NotMinimumWitness,
+    check_claim,
     find_private_vertex,
     generate_connected_graphs,
     generate_trees,
@@ -22,7 +26,7 @@ from domicert import (
 )
 from domicert.census import _detangles_cleanly
 
-from .oracles import detangles_cleanly_referee, private_vertex_naive, sharing_pairs_naive
+from .oracles import claim_holds_naive, detangles_cleanly_referee, private_vertex_naive, sharing_pairs_naive
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +62,7 @@ class TestLemma1Check:
         # minimum ev-sets with a sharing pair, over the swept graphs
         assert len(sharing_sets) == 338
         for g, ev, m in sharing_sets:
-            assert _detangles_cleanly(g, ev, m) is detangles_cleanly_referee(g, ev, m) is True
+            assert _detangles_cleanly(g, set(ev.sets), m) is detangles_cleanly_referee(g, ev, m) is True
 
     def test_same_verdict_as_referee_with_a_set_removed(self, sharing_sets):
         verdicts = set()
@@ -67,7 +71,7 @@ class TestLemma1Check:
                 if dropped == m:
                     continue
                 family = _without(ev, dropped)
-                verdict = _detangles_cleanly(g, family, m)
+                verdict = _detangles_cleanly(g, set(family.sets), m)
                 assert verdict is detangles_cleanly_referee(g, family, m)
                 verdicts.add(verdict)
         assert verdicts == {False, True}
@@ -79,6 +83,30 @@ class TestTwinningPrimitives:
             for m in ev.sets:
                 assert sharing_pairs(m) == sharing_pairs_naive(m)
                 assert sharing_pairs(reversed([(v, u) for u, v in m])) == sharing_pairs_naive(m)
+
+    def test_check_claim_matches_triple_loop(self, families):
+        for g, ev in families:
+            for m in ev.sets:
+                assert check_claim(g, m) is claim_holds_naive(m) is True
+                repeated = [(v, u) for u, v in m] + list(m[:1])
+                assert check_claim(g, repeated) is True
+
+    def test_check_claim_matches_triple_loop_on_random_edge_lists(self):
+        # members need not be graph edges for the claim, and may repeat
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(2, 7)
+            slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = [rng.choice(slots) for _ in range(rng.randint(1, 6))]
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            holds = claim_holds_naive(edges)
+            assert check_claim(Graph(n, slots), edges) is holds
+            distinct = {tuple(sorted(e)) for e in edges}
+            triangle = any(len({v for e in t for v in e}) == 3 for t in combinations(distinct, 3))
+            seen.add(("holds" if holds else "triangle" if triangle else "path", len(distinct) < len(edges)))
+        # every outcome shows up, both with and without repeated members
+        assert seen == {(shape, repeats) for shape in ("holds", "triangle", "path") for repeats in (False, True)}
 
     def test_find_private_vertex_matches_scan(self, sharing_sets):
         for g, ev, m in sharing_sets:

@@ -56,6 +56,12 @@ class TestCheckClaim:
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert check_claim(star, [(0, 1), (0, 2), (0, 3)])
 
+    def test_repeated_member_is_one_member(self):
+        # a repeated member next to a disjoint edge is two members, not a P4
+        from domicert import Graph
+        assert check_claim(Graph(4, [(0, 1), (2, 3)]), [(0, 1), (1, 0), (2, 3)]) is True
+        assert check_claim(path_graph(4), [(0, 1), (1, 2), (2, 1), (3, 2)]) is False
+
     def test_holds_on_all_minimum_sets_of_small_trees(self):
         for n in range(2, 9):
             for g in generate_trees(n):
