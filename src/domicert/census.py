@@ -32,12 +32,14 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
+from itertools import islice
 from multiprocessing import Pool
 
 from .domination import DEFAULT_BUDGET, MinSetFamily, solve_families, spanned_vertices
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
 from .graphs import (
     Graph,
+    _general_code,
     canonical_code,
     emit_graph6,
     is_tree,
@@ -201,39 +203,74 @@ def _levels_to_graph(levels) -> Graph:
 # --- connected graph generation -------------------------------------------
 #
 # Children of an (m-1)-representative g attach a newcomer u to a nonempty
-# neighbour mask. Every connected graph H has a non-cut vertex v of largest
-# degree among its non-cut vertices; H - v is connected, so it is isomorphic
-# to some representative, and attaching v back to that representative
-# reaches H with v as the newcomer. A child in which some other vertex is
-# not a cut vertex and has a larger degree than u therefore adds no class,
-# and it is dropped on bitmasks before any Graph or canonical code is made:
-# a vertex x of g is not a cut vertex of the child exactly when every
-# component of g - x meets the mask. Canonical codes deduplicate the rest.
+# neighbour mask, so level m is built from level m-1 alone and a census
+# builds each level once. Two bitmask rules drop a mask before any code is
+# computed; neither drops the first mask found for a class:
+#
+# * Largest-degree non-cut newcomer. Every connected graph H has a non-cut
+#   vertex v of largest degree among its non-cut vertices; H - v is
+#   connected, so attaching v back to its representative reaches H. A
+#   child in which some other vertex x is not a cut vertex (every component
+#   of g - x meets the mask) and has a larger degree than u adds no class.
+# * Twin orbits. Swapping twins x < y of g (equal open or equal closed
+#   neighbourhoods) is an automorphism of g; it maps a mask holding y but
+#   not x to a smaller mask with an isomorphic child, which the first rule,
+#   being invariant under automorphisms, keeps too.
+#
+# Codes of the survivors come from their neighbour masks; a Graph is built
+# only for the representatives kept and for tree children (tree codes).
 
 
 def generate_connected_graphs(n: int):
     """Yield one representative per isomorphism class of connected graphs."""
     if not 2 <= n <= CONNECTED_GENERATION_BOUND:
         raise CapabilityError(f"connected generation supports 2 <= n <= {CONNECTED_GENERATION_BOUND}, got {n}")
+    for reps in _connected_levels(n):
+        pass
+    yield from reps
+
+
+def _connected_levels(n_max: int):
+    # the representatives of each level m = 1..n_max, in class order
     reps = [Graph(1, ())]
-    for m in range(2, n + 1):
-        found: dict[bytes, Graph] = {}
+    yield reps
+    for m in range(2, n_max + 1):
+        found: dict[bytes, tuple[Graph, int]] = {}
         newcomer = m - 1
+        full = (1 << newcomer) - 1
         for g in reps:
-            degree = [b.bit_count() for b in g.nbr_bits]
-            parts = [_components(g.nbr_bits, ((1 << newcomer) - 1) ^ 1 << x) for x in range(newcomer)]
+            bits = g.nbr_bits
+            tree = g.edge_count == newcomer - 1
+            twins = [(1 << x | 1 << y, 1 << y) for x, y in _twin_pairs(bits)]
+            degree = [b.bit_count() for b in bits]
+            parts = [_components(bits, full ^ 1 << x) for x in range(newcomer)]
             for mask in range(1, 1 << newcomer):
+                if any(mask & pair == y for pair, y in twins):
+                    continue
                 k = mask.bit_count()
                 if any(degree[x] + (mask >> x & 1) > k and all(c & mask for c in parts[x])
                        for x in range(newcomer)):
                     continue
-                extra = [(i, newcomer) for i in range(newcomer) if mask >> i & 1]
-                h = Graph(m, g.edges + tuple(extra))
-                code = canonical_code(h)
+                if tree and k == 1:
+                    code = canonical_code(_attach(g, mask))
+                else:
+                    child = tuple(b | (mask >> i & 1) << newcomer for i, b in enumerate(bits)) + (mask,)
+                    code = _general_code(m, child)
                 if code not in found:
-                    found[code] = h
-        reps = [found[c] for c in sorted(found)]
-    yield from reps
+                    found[code] = (g, mask)
+        reps = [_attach(*found[c]) for c in sorted(found)]
+        yield reps
+
+
+def _attach(g: Graph, mask: int) -> Graph:
+    # g plus a newcomer joined to the vertices in mask
+    return Graph(g.n + 1, g.edges + tuple((i, g.n) for i in range(g.n) if mask >> i & 1))
+
+
+def _twin_pairs(bits: tuple[int, ...]) -> list[tuple[int, int]]:
+    # pairs x < y with equal open or equal closed neighbourhoods
+    return [(x, y) for y in range(len(bits)) for x in range(y)
+            if bits[x] == bits[y] or bits[x] | 1 << x == bits[y] | 1 << y]
 
 
 def _components(bits: tuple[int, ...], alive: int) -> list[int]:
@@ -448,16 +485,18 @@ class CensusReport:
 def run_census(config: CensusConfig) -> CensusReport:
     """Enumerate, check and aggregate; deterministic for any worker count."""
     start = time.perf_counter()
-    if config.family == TREES:
-        generate, class_count = generate_trees, tree_class_count
-    else:
-        generate, class_count = generate_connected_graphs, connected_class_count
     sizes = range(config.n_min, config.n_max + 1)
+    if config.family == TREES:
+        class_count, levels = tree_class_count, (generate_trees(n) for n in sizes)
+    else:
+        # one level pass: level n is built from level n-1, so the levels
+        # below n_min are built once and not checked
+        class_count, levels = connected_class_count, islice(_connected_levels(config.n_max), config.n_min - 1, None)
     per_n = {n: {"graphs_examined": 0, "expected_count": class_count(n), "counterexamples": [],
                  "verdicts": {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}}
              for n in sizes}
     # one stream in generation order; each graph is checked as it arrives
-    graphs = (g for n in sizes for g in generate(n))
+    graphs = (g for level in levels for g in level)
     task = partial(_census_task, checks=config.checks, budget=config.budget)
     pool = Pool(config.worker_count) if config.worker_count > 1 else None
     try:

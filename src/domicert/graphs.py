@@ -365,7 +365,12 @@ def canonical_code(graph: Graph) -> bytes:
         return b"T" + _tree_code(graph)
     if graph.n > GENERAL_CANONICAL_BOUND:
         raise CapabilityError(f"canonical code for non-trees supports n <= {GENERAL_CANONICAL_BOUND}, got {graph.n}")
-    return b"G" + bytes([graph.n]) + _min_adjacency_bytes(graph)
+    return _general_code(graph.n, graph.nbr_bits)
+
+
+def _general_code(n: int, bits: tuple[int, ...]) -> bytes:
+    # canonical_code of a non-tree, straight from its neighbor masks
+    return b"G" + bytes([n]) + _min_adjacency_bytes(n, bits)
 
 
 def _tree_code(graph: Graph) -> bytes:
@@ -413,21 +418,28 @@ def _rooted_code(graph: Graph, root: int) -> bytes:
     return code[root]
 
 
-def _refine_colors(graph: Graph) -> list[int]:
+def _refine_colors(bits: tuple[int, ...]) -> list[int]:
     # Iterated neighborhood color refinement; ids depend only on structure.
-    n = graph.n
-    palette = sorted(set(graph.degree(v) for v in range(n)))
-    color = [palette.index(graph.degree(v)) for v in range(n)]
+    # Vertices of one color have one degree, so ranking them by (color,
+    # minus the neighbor count in each class) orders them exactly as
+    # ranking by (color, sorted neighbor colors) would.
+    degree = [b.bit_count() for b in bits]
+    palette = sorted(set(degree))
+    color = [palette.index(d) for d in degree]
+    classes = len(palette)
     while True:
-        sigs = [(color[v], tuple(sorted(color[u] for u in graph.adj[v]))) for v in range(n)]
+        masks = [0] * classes
+        for v, c in enumerate(color):
+            masks[c] |= 1 << v
+        sigs = [(c, *[-(b & m).bit_count() for m in masks]) for c, b in zip(color, bits)]
         table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        fresh = [table[sigs[v]] for v in range(n)]
+        fresh = [table[sig] for sig in sigs]
         if fresh == color:
             return color
-        color = fresh
+        color, classes = fresh, len(table)
 
 
-def _min_adjacency_bytes(graph: Graph) -> bytes:
+def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:
     """Smallest packed upper-triangle bit string over class-respecting orderings.
 
     Positions are filled class by class. ``best`` holds, per position,
@@ -439,17 +451,15 @@ def _min_adjacency_bytes(graph: Graph) -> bytes:
     by an automorphism, so only the first of each twin group is explored
     at any node.
     """
-    n = graph.n
     if n <= 1:
         return b""
-    color = _refine_colors(graph)
+    color = _refine_colors(bits)
     classes: list[list[int]] = [[] for _ in range(max(color) + 1)]
     for v in range(n):
         classes[color[v]].append(v)
     slot_class: list[list[int]] = []
     for cls in classes:
         slot_class.extend([cls] * len(cls))
-    bits = graph.nbr_bits
     infinity = 1 << n
     best = [infinity] * n
     placed = [0] * n

@@ -4,7 +4,8 @@ Everything here works straight from the definitions with none of the
 package's bitmask machinery, so agreement is meaningful: subset sweeps
 by explicit combinations, domination checked vertex by vertex through
 neighbor lists, matchings found by trying disjoint edge subsets, trees
-enumerated from labeled sequences and deduplicated. The lemma1 referee
+enumerated from labeled sequences and deduplicated, colors refined by
+sorting neighbor-color lists. The lemma1 referee
 replays detangle from the definitions, then runs the package's
 ``detangle`` and requires the same outcome.
 """
@@ -155,6 +156,20 @@ def min_pr_family_naive(graph: Graph):
         if found:
             return k, sorted(found)
     raise AssertionError("no paired dominating set at any size")
+
+
+def refine_colors_naive(graph: Graph) -> list[int]:
+    """Color refinement by sorted neighbor colors, started from degree ranks."""
+    n = graph.n
+    palette = sorted(set(graph.degree(v) for v in range(n)))
+    color = [palette.index(graph.degree(v)) for v in range(n)]
+    while True:
+        sigs = [(color[v], tuple(sorted(color[u] for u in graph.adj[v]))) for v in range(n)]
+        table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        fresh = [table[sigs[v]] for v in range(n)]
+        if fresh == color:
+            return color
+        color = fresh
 
 
 def tree_from_prufer(seq, n: int) -> Graph:

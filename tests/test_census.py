@@ -79,6 +79,10 @@ class TestTreeGeneration:
             next(generate_trees(0))
 
 
+def _child(g: Graph, mask: int) -> Graph:
+    return Graph(g.n + 1, list(g.edges) + [(i, g.n) for i in range(g.n) if mask >> i & 1])
+
+
 class TestConnectedGeneration:
     def test_counts_match_frozen_table(self):
         for n, want in CONNECTED_COUNTS.items():
@@ -117,6 +121,23 @@ class TestConnectedGeneration:
             assert len(set(codes)) == len(codes)
             assert set(codes) == {canonical_code(g) for g in generate_connected_graphs(n)}
 
+    def test_twin_rule_drops_only_isomorphic_children(self):
+        # a mask holding twin y but not its smaller twin x is dropped; the
+        # child must be isomorphic to the one with y swapped for x
+        dropped = 0
+        for n in range(2, 7):
+            for g in generate_connected_graphs(n):
+                pairs = census._twin_pairs(g.nbr_bits)
+                assert pairs == [(x, y) for y in range(n) for x in range(y)
+                                 if set(g.adj[x]) - {y} == set(g.adj[y]) - {x}]
+                for mask in range(1, 1 << n):
+                    for x, y in pairs:
+                        if mask >> y & 1 and not mask >> x & 1:
+                            dropped += 1
+                            swapped = mask ^ (1 << x | 1 << y)
+                            assert canonical_code(_child(g, mask)) == canonical_code(_child(g, swapped))
+        assert dropped > 0
+
     def test_deterministic_order(self):
         first = [g.edges for g in generate_connected_graphs(5)]
         second = [g.edges for g in generate_connected_graphs(5)]
@@ -146,6 +167,12 @@ class TestPinnedCodes:
             for g in generate_connected_graphs(n):
                 digest.update(canonical_code(g) + b" " + emit_graph6(g).encode() + b"\n")
         assert digest.hexdigest() == "f1a9515cc7026d53af96578fc6506a1e3fdf390d57df4d6574b0c7784cf22cb1"
+
+    def test_connected_generation_at_eight(self):
+        digest = hashlib.sha256()
+        for g in generate_connected_graphs(8):
+            digest.update((emit_graph6(g) + "\n").encode())
+        assert digest.hexdigest() == "35b9545372565c4c3b61aabdc7d9bd2af870bc8f03c7e4b113526dc81509e897"
 
     def test_codes_survive_relabelling(self):
         pytest.importorskip("hypothesis")
@@ -311,6 +338,16 @@ class TestRunCensus:
         assert report.counterexample_count == 0
         for n in range(2, 7):
             assert report.per_n[n]["graphs_examined"] == CONNECTED_COUNTS[n]
+
+    def test_connected_sub_range_matches_full_range(self):
+        # one level pass serves any n_min: no level skipped or checked twice
+        full = run_census(CensusConfig(family="connected_graphs", n_min=2, n_max=7, checks=CHECK_NAMES))
+        part = run_census(CensusConfig(family="connected_graphs", n_min=5, n_max=7, checks=CHECK_NAMES))
+        assert sorted(part.per_n) == [5, 6, 7]
+        for n in (5, 6, 7):
+            assert part.per_n[n] == full.per_n[n]
+        single = run_census(CensusConfig(family="connected_graphs", n_min=4, n_max=4))
+        assert single.per_n[4]["graphs_examined"] == 6
 
     def test_probe_on_trees_never_finds(self):
         report = run_census(CensusConfig(family="trees", n_min=2, n_max=8,

@@ -23,10 +23,10 @@ from domicert import (
     parse_graph6,
     perfect_matchings_within,
 )
-from domicert.graphs import EDGE_LIST_VERTEX_BOUND
+from domicert.graphs import EDGE_LIST_VERTEX_BOUND, GENERAL_CANONICAL_BOUND, _refine_colors
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222, star_graph
-from .oracles import has_perfect_matching_naive
+from .oracles import has_perfect_matching_naive, refine_colors_naive
 
 
 def _relabel(graph: Graph, perm) -> Graph:
@@ -245,6 +245,16 @@ class TestPerfectMatching:
 
 
 class TestCanonicalCode:
+    def test_refinement_against_sorted_neighbor_colors(self):
+        graphs = [g for n in range(2, 8) for g in generate_connected_graphs(n)]
+        rng = random.Random(8)
+        for _ in range(400):
+            n = rng.randint(1, GENERAL_CANONICAL_BOUND)
+            density = rng.random()
+            graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density]))
+        for g in graphs:
+            assert _refine_colors(g.nbr_bits) == refine_colors_naive(g)
+
     def test_path_vs_star(self):
         assert canonical_code(path_graph(4)) != canonical_code(star_graph(3))
 
