@@ -16,9 +16,13 @@ one. ``solve_families`` reads both families off one ev search: the
 minimum ev-sets that are matchings span the minimum paired sets whenever
 any of them is a matching, and only when none is (gamma_pr would then
 differ from 2 * gamma_ev) does it run the paired search too, so its
-answer is exact without assuming that identity. Search nodes are counted
-against a budget so a runaway search surfaces as CapabilityError instead
-of a silent hang.
+answer is exact without assuming that identity. Each hit carries the
+bitmask of the vertices its edges span: a hit of k edges is a matching
+exactly when 2k bits are set, and the distinct masks are the paired
+sets. Search nodes are counted against a budget so a runaway search
+surfaces as CapabilityError instead of a silent hang; the last edge of a
+choice is tried in a loop, not a call, and each edge tried there still
+counts as one node.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CapabilityError, DomainError, InvariantViolation
-from .graphs import Graph, _matchable, _tree_walk, is_tree, normalize_edge
+from .graphs import Graph, _iter_bits, _matchable, _tree_walk, is_tree, normalize_edge
 
 DEFAULT_BUDGET = 10**8
 
@@ -130,9 +134,9 @@ def solve_families(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[MinSetFa
     Raises CapabilityError exactly when either solver would on its own
     with the same budget.
     """
-    k, picks = _min_edge_covers(graph, budget, matching=False)
-    ev = _ev_family(graph, k, picks)
-    matchings = [pick for pick in picks if len(spanned_vertices(pick)) == 2 * k]
+    k, hits = _min_edge_covers(graph, budget, matching=False)
+    ev = _ev_family(graph, k, hits)
+    matchings = [hit for hit in hits if hit[1].bit_count() == 2 * k]
     if not matchings:
         # then gamma_pr != 2 * gamma_ev, which the census checks, not assumes
         return ev, solve_pr(graph, budget)
@@ -225,60 +229,71 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
 # --- shared search machinery -------------------------------------------
 
 
-def _ev_family(graph: Graph, k: int, picks) -> MinSetFamily:
-    sets = tuple(sorted(tuple(sorted(pick)) for pick in picks))
+def _ev_family(graph: Graph, k: int, hits) -> MinSetFamily:
+    sets = tuple(sorted(tuple(sorted(pick)) for pick, _ in hits))
     return MinSetFamily(kind="ev", gamma=k, sets=sets, graph=graph)
 
 
-def _pr_family(graph: Graph, k: int, picks) -> MinSetFamily:
-    sets = tuple(sorted({tuple(sorted(spanned_vertices(pick))) for pick in picks}))
+def _pr_family(graph: Graph, k: int, hits) -> MinSetFamily:
+    sets = tuple(sorted(tuple(_iter_bits(span)) for span in {span for _, span in hits}))
     return MinSetFamily(kind="paired", gamma=2 * k, sets=sets, graph=graph)
 
 
 def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
-    # as lists of edges: a maximal matching has at most n // 2 edges and its
-    # span dominates a graph without isolated vertices. Each k is a
-    # depth-first search; edges come sorted by shrinking coverage, so one
-    # suffix test bounds the remaining range. An edge meeting the used
-    # endpoints is skipped (all-zero endpoint masks turn that off). Each
-    # search node, over all sizes, spends one unit of the budget. Up to
-    # the ev search's last size the matching search visits a subset of its
-    # nodes (the same bounds, plus the skip), so a finished ev search whose
-    # hits include a matching also certifies the matching search's budget:
-    # solve_families runs out exactly when solve_ev or solve_pr would.
+    # each an (edge list, span bitmask) pair: a maximal matching has at
+    # most n // 2 edges and its span dominates a graph without isolated
+    # vertices. Each k is a depth-first search that passes the still
+    # uncovered vertices down; edges come sorted by shrinking coverage, so
+    # one suffix test bounds the remaining range. The matching search skips
+    # an edge meeting the used endpoints. Each search node spends one unit
+    # of the budget; the last edge is tried in a loop, not a call, and each
+    # edge tried there spends one unit (the bound and the skip spend none).
+    # Up to the ev search's last size the matching search visits a subset
+    # of its nodes (the same bounds, plus the skip), so a finished ev
+    # search whose hits include a matching also certifies the matching
+    # search's budget: solve_families runs out exactly when solve_ev or
+    # solve_pr would.
     _require_solvable(graph)
     full = (1 << graph.n) - 1
     cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
     order = sorted(graph.edges, key=lambda e: (-cover[e].bit_count(), e))
-    masks = [cover[e] for e in order]
-    sizes = [mask.bit_count() for mask in masks]
-    ends = [(1 << u | 1 << v) if matching else 0 for u, v in order]
+    outside = [full ^ cover[e] for e in order]
+    sizes = [cover[e].bit_count() for e in order]
+    ends = [1 << u | 1 << v for u, v in order]
     m = len(order)
     left = budget
-    hits: list[list[Edge]] = []
+    hits: list[tuple[list[Edge], int]] = []
 
-    def descend(start: int, slots: int, chosen: list[Edge], covered: int, used: int) -> None:
+    def descend(start: int, slots: int, chosen: list[Edge], uncovered: int, used: int) -> None:
         nonlocal left
         left -= 1
         if left < 0:
             raise CapabilityError("search budget exhausted")
-        if slots == 0:
-            if covered == full:
-                hits.append(chosen[:])
+        missing = uncovered.bit_count()
+        if slots == 1:
+            for i in range(start, m):
+                if missing > sizes[i]:
+                    break
+                if matching and ends[i] & used:
+                    continue
+                left -= 1
+                if not uncovered & outside[i]:
+                    hits.append(([*chosen, order[i]], used | ends[i]))
+            if left < 0:
+                raise CapabilityError("search budget exhausted")
             return
-        missing = (full & ~covered).bit_count()
         for i in range(start, m - slots + 1):
             if missing > slots * sizes[i]:
                 break
-            if ends[i] & used:
+            if matching and ends[i] & used:
                 continue
             chosen.append(order[i])
-            descend(i + 1, slots - 1, chosen, covered | masks[i], used | ends[i])
+            descend(i + 1, slots - 1, chosen, uncovered & outside[i], used | ends[i])
             chosen.pop()
 
     for k in range(1, graph.n // 2 + 1):
-        descend(0, k, [], 0, 0)
+        descend(0, k, [], full, 0)
         if hits:
             return k, hits
     raise InvariantViolation("no ev-dominating matching up to n // 2 edges")

@@ -422,12 +422,13 @@ def _refine_colors(bits: tuple[int, ...]) -> list[int]:
     # Iterated neighborhood color refinement; ids depend only on structure.
     # Vertices of one color have one degree, so ranking them by (color,
     # minus the neighbor count in each class) orders them exactly as
-    # ranking by (color, sorted neighbor colors) would.
+    # ranking by (color, sorted neighbor colors) would. A discrete coloring
+    # is stable, so it is returned without a confirming round.
     degree = [b.bit_count() for b in bits]
     palette = sorted(set(degree))
     color = [palette.index(d) for d in degree]
     classes = len(palette)
-    while True:
+    while classes < len(bits):
         masks = [0] * classes
         for v, c in enumerate(color):
             masks[c] |= 1 << v
@@ -437,6 +438,7 @@ def _refine_colors(bits: tuple[int, ...]) -> list[int]:
         if fresh == color:
             return color
         color, classes = fresh, len(table)
+    return color
 
 
 def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:

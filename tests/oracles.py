@@ -7,14 +7,24 @@ neighbor lists, matchings found by trying disjoint edge subsets, trees
 enumerated from labeled sequences and deduplicated, colors refined by
 sorting neighbor-color lists. The lemma1 referee
 replays detangle from the definitions, then runs the package's
-``detangle`` and requires the same outcome.
+``detangle`` and requires the same outcome. The one exception is
+``min_edge_covers_per_leaf``, the former search kernel with one call per
+search node, kept as the referee for the hit order and the node count of
+the package's kernel.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from domicert import Graph, InvariantViolation, NotMinimumWitness, canonical_code, detangle
+from domicert import (
+    CapabilityError,
+    Graph,
+    InvariantViolation,
+    NotMinimumWitness,
+    canonical_code,
+    detangle,
+)
 
 
 def ev_dominates_naive(graph: Graph, edge, vertex: int) -> bool:
@@ -156,6 +166,44 @@ def min_pr_family_naive(graph: Graph):
         if found:
             return k, sorted(found)
     raise AssertionError("no paired dominating set at any size")
+
+
+def min_edge_covers_per_leaf(graph: Graph, budget: int, matching: bool):
+    """(k, hits as edge lists in search order, search nodes spent), one call per node."""
+    full = (1 << graph.n) - 1
+    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
+    order = sorted(graph.edges, key=lambda e: (-cover[e].bit_count(), e))
+    masks = [cover[e] for e in order]
+    sizes = [mask.bit_count() for mask in masks]
+    ends = [(1 << u | 1 << v) if matching else 0 for u, v in order]
+    m = len(order)
+    left = budget
+    hits = []
+
+    def descend(start, slots, chosen, covered, used):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise CapabilityError("search budget exhausted")
+        if slots == 0:
+            if covered == full:
+                hits.append(chosen[:])
+            return
+        missing = (full & ~covered).bit_count()
+        for i in range(start, m - slots + 1):
+            if missing > slots * sizes[i]:
+                break
+            if ends[i] & used:
+                continue
+            chosen.append(order[i])
+            descend(i + 1, slots - 1, chosen, covered | masks[i], used | ends[i])
+            chosen.pop()
+
+    for k in range(1, graph.n // 2 + 1):
+        descend(0, k, [], 0, 0)
+        if hits:
+            return k, hits, budget - left
+    raise AssertionError("no ev-dominating matching up to n // 2 edges")
 
 
 def refine_colors_naive(graph: Graph) -> list[int]:

@@ -20,9 +20,10 @@ from domicert import (
     spanned_vertices,
     uniqueness,
 )
+from domicert.domination import DEFAULT_BUDGET, _min_edge_covers
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222
-from .oracles import min_ev_family_naive, min_pr_family_naive
+from .oracles import min_edge_covers_per_leaf, min_ev_family_naive, min_pr_family_naive, tree_from_prufer
 
 # budget tests pin the search nodes a solve spends: the smallest budget
 # that finishes on each of these graphs
@@ -226,6 +227,57 @@ class TestSolveFamilies:
         assert (ev.gamma, ev.sets) == (2, (((0, 1), (0, 2)),))
         assert (pr.gamma, pr.sets) == (6, ((0, 1, 3, 4, 5, 6),))
         assert (ev, pr) == (solve_ev(g), solve_pr(g))
+
+
+    def test_matches_naive_on_random_connected(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def connected(draw):
+            # a random spanning tree plus random extra edges
+            n = draw(st.integers(min_value=2, max_value=8))
+            seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+            tree = tree_from_prufer(seq, n)
+            slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            extra = draw(st.lists(st.sampled_from(slots), unique=True))
+            return Graph(n, tree.edges + tuple(extra))
+
+        @settings(max_examples=100, deadline=None)
+        @given(connected())
+        def check(g):
+            ev, pr = solve_families(g)
+            assert (ev.gamma, list(ev.sets)) == min_ev_family_naive(g)
+            assert (pr.gamma, list(pr.sets)) == min_pr_family_naive(g)
+
+        check()
+
+
+class TestSearchKernel:
+    """The kernel against the former per-leaf kernel, ``min_edge_covers_per_leaf``."""
+
+    @staticmethod
+    def _graphs(tree_max: int, connected_max: int):
+        graphs = [g for n in range(2, tree_max + 1) for g in generate_trees(n)]
+        return graphs + [g for n in range(2, connected_max + 1) for g in generate_connected_graphs(n)]
+
+    @pytest.mark.parametrize("matching", [False, True], ids=["ev", "matching"])
+    def test_same_hits_in_order(self, matching):
+        for g in self._graphs(12, 7):
+            want_k, want, _ = min_edge_covers_per_leaf(g, DEFAULT_BUDGET, matching)
+            k, hits = _min_edge_covers(g, DEFAULT_BUDGET, matching)
+            assert (k, [pick for pick, _ in hits]) == (want_k, want)
+            for pick, span in hits:
+                assert span == sum(1 << v for v in spanned_vertices(pick))
+
+    @pytest.mark.parametrize("matching", [False, True], ids=["ev", "matching"])
+    def test_same_smallest_finishing_budget(self, matching):
+        for g in self._graphs(9, 6):
+            _, _, nodes = min_edge_covers_per_leaf(g, DEFAULT_BUDGET, matching)
+            _min_edge_covers(g, nodes, matching)
+            with pytest.raises(CapabilityError):
+                _min_edge_covers(g, nodes - 1, matching)
 
 
 class TestStructuralInvariants:
