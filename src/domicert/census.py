@@ -3,10 +3,12 @@
 The census enumerates every isomorphism class in a size range, runs a
 configurable set of named checks against each graph, and aggregates the
 verdicts into a deterministic report: identical configurations produce
-byte-identical JSON regardless of worker count. Graphs stream from the
-generator to the checks; once the stream is drained, the graphs counted
-per vertex count are cross-checked against independently known class
-counts.
+byte-identical JSON regardless of worker count. Trees stream from the
+generator to the checks. Connected graphs are built level by level
+first, each level from the one below with every parent's children coded
+in the census pool, and then checked. Once the checks are drained, the
+graphs counted per vertex count are cross-checked against independently
+known class counts.
 
 Check names:
 
@@ -62,7 +64,7 @@ CONNECTED_GENERATION_BOUND = 8
 WORKER_BOUND = 32
 # graphs per pool task; batching spreads the pickling and messaging of a
 # task over several small graphs
-CHUNK_SIZE = 16
+CHUNK_SIZE = 64
 
 # connected graph classes per vertex count, for generator cross-checks
 _CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -219,6 +221,8 @@ def _levels_to_graph(levels) -> Graph:
 #
 # Codes of the survivors come from their neighbour masks; a Graph is built
 # only for the representatives kept and for tree children (tree codes).
+# Each parent's children are coded on their own (``_child_codes``), so a
+# pool can code a level's parents in parallel.
 
 
 def generate_connected_graphs(n: int):
@@ -230,36 +234,47 @@ def generate_connected_graphs(n: int):
     yield from reps
 
 
-def _connected_levels(n_max: int):
-    # the representatives of each level m = 1..n_max, in class order
+def _connected_levels(n_max: int, mapper=map):
+    # the representatives of each level m = 1..n_max, in class order; the
+    # children of each level's parents are coded through ``mapper``, and
+    # the first (parent, mask) per code in parent order is kept, so any
+    # order-preserving mapper gives the representatives of a serial pass
     reps = [Graph(1, ())]
     yield reps
-    for m in range(2, n_max + 1):
+    for _ in range(2, n_max + 1):
         found: dict[bytes, tuple[Graph, int]] = {}
-        newcomer = m - 1
-        full = (1 << newcomer) - 1
-        for g in reps:
-            bits = g.nbr_bits
-            tree = g.edge_count == newcomer - 1
-            twins = [(1 << x | 1 << y, 1 << y) for x, y in _twin_pairs(bits)]
-            degree = [b.bit_count() for b in bits]
-            parts = [_components(bits, full ^ 1 << x) for x in range(newcomer)]
-            for mask in range(1, 1 << newcomer):
-                if any(mask & pair == y for pair, y in twins):
-                    continue
-                k = mask.bit_count()
-                if any(degree[x] + (mask >> x & 1) > k and all(c & mask for c in parts[x])
-                       for x in range(newcomer)):
-                    continue
-                if tree and k == 1:
-                    code = canonical_code(_attach(g, mask))
-                else:
-                    child = tuple(b | (mask >> i & 1) << newcomer for i, b in enumerate(bits)) + (mask,)
-                    code = _general_code(m, child)
-                if code not in found:
-                    found[code] = (g, mask)
+        for g, children in zip(reps, mapper(_child_codes, reps)):
+            for code, mask in children:
+                found.setdefault(code, (g, mask))
         reps = [_attach(*found[c]) for c in sorted(found)]
         yield reps
+
+
+def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
+    # (code, first mask) of each child class of g that survives the two
+    # rules, in mask order
+    newcomer = g.n
+    full = (1 << newcomer) - 1
+    bits = g.nbr_bits
+    tree = g.edge_count == newcomer - 1
+    twins = [(1 << x | 1 << y, 1 << y) for x, y in _twin_pairs(bits)]
+    degree = [b.bit_count() for b in bits]
+    parts = [_components(bits, full ^ 1 << x) for x in range(newcomer)]
+    found: dict[bytes, int] = {}
+    for mask in range(1, 1 << newcomer):
+        if any(mask & pair == y for pair, y in twins):
+            continue
+        k = mask.bit_count()
+        if any(degree[x] + (mask >> x & 1) > k and all(c & mask for c in parts[x])
+               for x in range(newcomer)):
+            continue
+        if tree and k == 1:
+            code = canonical_code(_attach(g, mask))
+        else:
+            child = tuple(b | (mask >> i & 1) << newcomer for i, b in enumerate(bits)) + (mask,)
+            code = _general_code(newcomer + 1, child)
+        found.setdefault(code, mask)
+    return list(found.items())
 
 
 def _attach(g: Graph, mask: int) -> Graph:
@@ -486,21 +501,26 @@ def run_census(config: CensusConfig) -> CensusReport:
     """Enumerate, check and aggregate; deterministic for any worker count."""
     start = time.perf_counter()
     sizes = range(config.n_min, config.n_max + 1)
-    if config.family == TREES:
-        class_count, levels = tree_class_count, (generate_trees(n) for n in sizes)
-    else:
-        # one level pass: level n is built from level n-1, so the levels
-        # below n_min are built once and not checked
-        class_count, levels = connected_class_count, islice(_connected_levels(config.n_max), config.n_min - 1, None)
+    class_count = tree_class_count if config.family == TREES else connected_class_count
     per_n = {n: {"graphs_examined": 0, "expected_count": class_count(n), "counterexamples": [],
                  "verdicts": {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}}
              for n in sizes}
-    # one stream in generation order; each graph is checked as it arrives
-    graphs = (g for level in levels for g in level)
     task = partial(_census_task, checks=config.checks, budget=config.budget)
     pool = Pool(config.worker_count) if config.worker_count > 1 else None
     try:
-        results = map(task, graphs) if pool is None else pool.imap(task, graphs, CHUNK_SIZE)
+        # one order-preserving mapper for the level pass and the checks
+        mapper = map if pool is None else partial(pool.imap, chunksize=CHUNK_SIZE)
+        if config.family == TREES:
+            # trees stream: each graph is checked as it is generated
+            levels = (generate_trees(n) for n in sizes)
+        else:
+            # one level pass: level n is built from level n-1, so the levels
+            # below n_min are built once and not checked. The levels are
+            # listed before the checks start, because the pool codes their
+            # children and cannot also draw check tasks from a generator
+            # that waits on it.
+            levels = list(islice(_connected_levels(config.n_max, mapper), config.n_min - 1, None))
+        results = mapper(task, (g for level in levels for g in level))
         for n, verdicts, examples in results:
             record = per_n[n]
             record["graphs_examined"] += 1

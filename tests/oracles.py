@@ -15,7 +15,7 @@ the package's kernel.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from domicert import (
     CapabilityError,
@@ -258,6 +258,38 @@ def tree_classes_prufer(n: int) -> set[bytes]:
         if i < 0:
             return out
         seq[i] += 1
+
+
+def tree_classes_prufer_ordered(n: int) -> set[bytes]:
+    """Canonical codes of every tree class on n vertices, via the Prüfer
+    sequences whose label counts do not increase with the label.
+
+    Label v occurs deg(v) - 1 times in a tree's Prüfer sequence, and every
+    tree has a labelling whose degrees never rise as the label grows, so
+    these sequences still reach every class. The count vectors come first and
+    then every distinct ordering of each: a sequence's counts are a
+    property of the whole sequence, not of its prefixes.
+    """
+    if n <= 2:
+        return tree_classes_prufer(n)
+    out = set()
+    for counts in _falling_counts(n - 2, n, n - 2):
+        labels = [v for v, c in enumerate(counts) for _ in range(c)]
+        for seq in set(permutations(labels)):
+            out.add(canonical_code(tree_from_prufer(seq, n)))
+    return out
+
+
+def _falling_counts(total: int, slots: int, cap: int):
+    # non-increasing vectors of ``slots`` counts, each at most ``cap``,
+    # that sum to ``total``
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, cap), -1, -1):
+        for rest in _falling_counts(total - first, slots - 1, first):
+            yield (first,) + rest
 
 
 def connected_classes_labeled(n: int) -> set[bytes]:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+from functools import partial
 
 import pytest
 
@@ -33,7 +35,7 @@ from domicert import census
 from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
 
 from .conftest import path_graph, pendant_cycle, spider_222
-from .oracles import connected_classes_labeled, tree_classes_prufer, tree_from_prufer
+from .oracles import connected_classes_labeled, tree_classes_prufer, tree_classes_prufer_ordered, tree_from_prufer
 
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -66,9 +68,17 @@ class TestTreeGeneration:
         for n in range(1, 8):
             assert {canonical_code(g) for g in generate_trees(n)} == tree_classes_prufer(n)
 
+    def test_ordered_prufer_matches_full(self):
+        for n in range(3, 8):
+            assert tree_classes_prufer_ordered(n) == tree_classes_prufer(n)
+
     @pytest.mark.slow
     def test_class_for_class_against_prufer_eight(self):
-        assert {canonical_code(g) for g in generate_trees(8)} == tree_classes_prufer(8)
+        assert {canonical_code(g) for g in generate_trees(8)} == tree_classes_prufer_ordered(8)
+
+    @pytest.mark.slow
+    def test_class_for_class_against_prufer_nine(self):
+        assert {canonical_code(g) for g in generate_trees(9)} == tree_classes_prufer_ordered(9)
 
     def test_bound(self):
         with pytest.raises(CapabilityError):
@@ -171,6 +181,18 @@ class TestPinnedCodes:
     def test_connected_generation_at_eight(self):
         digest = hashlib.sha256()
         for g in generate_connected_graphs(8):
+            digest.update((emit_graph6(g) + "\n").encode())
+        assert digest.hexdigest() == "35b9545372565c4c3b61aabdc7d9bd2af870bc8f03c7e4b113526dc81509e897"
+
+    def test_pooled_level_pass_matches_serial(self):
+        # each level's children coded in a real pool: the merge keeps the
+        # first class found in parent order, so every level is the serial
+        # one, and level 8 keeps its pinned order
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            pooled = list(census._connected_levels(8, partial(pool.imap, chunksize=census.CHUNK_SIZE)))
+        assert pooled[:7] == list(census._connected_levels(7))
+        digest = hashlib.sha256()
+        for g in pooled[7]:
             digest.update((emit_graph6(g) + "\n").encode())
         assert digest.hexdigest() == "35b9545372565c4c3b61aabdc7d9bd2af870bc8f03c7e4b113526dc81509e897"
 
@@ -391,6 +413,12 @@ class TestRunCensus:
         four = run_census(CensusConfig(**cfg, worker_count=4))
         assert one.to_json() == four.to_json()
 
+    def test_connected_worker_counts_agree(self):
+        cfg = dict(family="connected_graphs", n_min=2, n_max=7, checks=CHECK_NAMES)
+        one = run_census(CensusConfig(**cfg, worker_count=1))
+        three = run_census(CensusConfig(**cfg, worker_count=3))
+        assert one.to_json() == three.to_json()
+
     def test_rerun_byte_identical(self):
         cfg = CensusConfig(family="connected_graphs", n_min=2, n_max=5)
         assert run_census(cfg).to_json() == run_census(cfg).to_json()
@@ -443,6 +471,33 @@ class TestRunCensus:
         pooled = run_census(CensusConfig(family="trees", n_min=2, n_max=8, worker_count=3))
         assert calls == [("pool", 3), ("imap", census.CHUNK_SIZE), "close", "join"]
         assert pooled.to_json() == run_census(CensusConfig(family="trees", n_min=2, n_max=8)).to_json()
+
+    def test_connected_pool_codes_each_level_then_checks(self, monkeypatch):
+        # every level below n_max is coded in the pool, levels below n_min
+        # too, before the one imap of the checks
+        calls = []
+
+        class SerialPool:
+            def __init__(self, workers):
+                calls.append(("pool", workers))
+
+            def imap(self, func, iterable, chunksize):
+                calls.append(("imap", getattr(func, "func", func), chunksize))
+                return map(func, iterable)
+
+            def close(self):
+                calls.append("close")
+
+            def join(self):
+                calls.append("join")
+
+        monkeypatch.setattr(census, "Pool", SerialPool)
+        cfg = dict(family="connected_graphs", n_min=4, n_max=7, checks=CHECK_NAMES)
+        pooled = run_census(CensusConfig(**cfg, worker_count=3))
+        levels = [("imap", census._child_codes, census.CHUNK_SIZE)] * len(range(2, 8))
+        checks = ("imap", census._census_task, census.CHUNK_SIZE)
+        assert calls == [("pool", 3), *levels, checks, "close", "join"]
+        assert pooled.to_json() == run_census(CensusConfig(**cfg)).to_json()
 
     def test_probe_finds_pendant_cycle_class_at_eight(self, probe_at_8):
         # the census is shared with the acceptance suite through conftest

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from domicert import census, cli, domination, emit_graph6
+from domicert import Graph, census, cli, domination, emit_graph6
 from domicert.cli import main
 
 from .conftest import PENDANT_CYCLE_TEXT, SPIDER_TEXT, pendant_cycle
@@ -298,3 +298,58 @@ class TestVerifyFigure1:
         code, out, _ = run_cli(capsys, "verify-figure1", path)
         assert code == 1
         assert "FAIL" in out
+
+
+class TestFuzzedInput:
+    def test_exit_codes_on_fuzzed_files(self, capsys, tmp_path):
+        # whatever the file holds, each graph command ends in an exit code
+        # of 0 to 3 and raises nothing
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def graph_file(draw):
+            # a small graph, a random spanning tree plus extra pairs (loops
+            # and repeats allowed in edge lists), sometimes cut short
+            n = draw(st.integers(0, 9))
+            vertex = st.integers(0, max(n - 1, 0))
+            edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+            edges += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+            if draw(st.booleans()):
+                fmt, text = "edges", f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+            else:
+                fmt, text = "g6", emit_graph6(Graph(n, [e for e in edges if e[0] != e[1]]))
+            if draw(st.booleans()):
+                text = text[:draw(st.integers(0, len(text)))]
+            return fmt, text
+
+        formats = st.sampled_from(["edges", "g6"])
+        noise = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+        files = graph_file() | st.tuples(formats, noise)
+        small = st.integers(-1, 9)
+        edge = st.tuples(small, small).map("{0[0]},{0[1]}".format) | st.sampled_from(["", "a,b", "1", "1,2,3"])
+        command = st.sampled_from([
+            ("solve", "--kind", "ev"), ("solve", "--kind", "pr"),
+            ("enumerate", "--kind", "ev"), ("enumerate", "--kind", "pr"),
+            ("unique", "--kind", "ev"), ("unique", "--kind", "pr"),
+            ("span",), ("twin",), ("detangle",), ("verify-figure1",),
+        ])
+        path = tmp_path / "fuzzed"
+
+        @settings(max_examples=200, deadline=None)
+        @given(files, command, edge, edge)
+        def check(file, command, e1, e2):
+            fmt, text = file
+            path.write_text(text, encoding="utf-8")
+            name, *flags = command
+            if name == "verify-figure1":
+                argv = [name, str(path)]
+            else:
+                argv = [name, str(path), "--format", fmt, *flags]
+            if name == "twin":
+                argv += ["--e1", e1, "--e2", e2]
+            assert main(argv) in (0, 1, 2, 3)
+            capsys.readouterr()
+
+        check()
