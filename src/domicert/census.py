@@ -41,6 +41,7 @@ from .domination import DEFAULT_BUDGET, MinSetFamily, solve_families, spanned_ve
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
 from .graphs import (
     Graph,
+    _from_nbr_bits,
     _general_code,
     canonical_code,
     emit_graph6,
@@ -219,8 +220,8 @@ def _levels_to_graph(levels) -> Graph:
 #   not x to a smaller mask with an isomorphic child, which the first rule,
 #   being invariant under automorphisms, keeps too.
 #
-# Codes of the survivors come from their neighbour masks; a Graph is built
-# only for the representatives kept and for tree children (tree codes).
+# Codes of the survivors come from their neighbour masks; each child is a
+# Graph built on those masks, which are not checked again.
 # Each parent's children are coded on their own (``_child_codes``), so a
 # pool can code a level's parents in parallel.
 
@@ -268,18 +269,15 @@ def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
         if any(degree[x] + (mask >> x & 1) > k and all(c & mask for c in parts[x])
                for x in range(newcomer)):
             continue
-        if tree and k == 1:
-            code = canonical_code(_attach(g, mask))
-        else:
-            child = tuple(b | (mask >> i & 1) << newcomer for i, b in enumerate(bits)) + (mask,)
-            code = _general_code(newcomer + 1, child)
+        child = _attach(g, mask)
+        code = canonical_code(child) if tree and k == 1 else _general_code(newcomer + 1, child.nbr_bits)
         found.setdefault(code, mask)
     return list(found.items())
 
 
 def _attach(g: Graph, mask: int) -> Graph:
     # g plus a newcomer joined to the vertices in mask
-    return Graph(g.n + 1, g.edges + tuple((i, g.n) for i in range(g.n) if mask >> i & 1))
+    return _from_nbr_bits(tuple(b | (mask >> i & 1) << g.n for i, b in enumerate(g.nbr_bits)) + (mask,))
 
 
 def _twin_pairs(bits: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -307,20 +305,20 @@ def verify_graph(graph: Graph, checks, budget: int = DEFAULT_BUDGET) -> dict[str
     A budget overrun skips every requested check for the graph; checks
     that only claim something about trees come back na on non-trees.
     """
-    return _verify_with_families(graph, checks, budget)[0]
+    return _verify_with_families(graph, _validated_checks(checks), budget)[0]
 
 
 def _verify_with_families(graph: Graph, checks, budget: int):
     # verify_graph's verdicts plus the ev and paired families they were
-    # read from (both None when the budget ran out)
-    names = _validated_checks(checks)
+    # read from (both None when the budget ran out); ``checks`` are names
+    # that _validated_checks has already passed
     try:
         ev, pr = solve_families(graph, budget)
     except CapabilityError:
-        return {name: "skip" for name in names}, None, None
+        return {name: "skip" for name in checks}, None, None
     tree = is_tree(graph)
     out: dict[str, str] = {}
-    for name in names:
+    for name in checks:
         if name in ("thm2", "cor_general") and not tree:
             out[name] = "na"
             continue

@@ -28,7 +28,7 @@ from .errors import (
     DomicertError,
     GraphParseError,
 )
-from .graphs import Graph, parse_edge_list, parse_graph6
+from .graphs import Graph, normalize_edge, parse_edge_list, parse_graph6
 from .twinning import detangle, sharing_pairs, twinning
 
 BUDGET_ENV = "DOMICERT_BUDGET"
@@ -208,7 +208,7 @@ def _parse_cli_edge(raw: str):
         u, v = int(fields[0]), int(fields[1])
     except ValueError:
         raise ValueError(f"expected an edge as U,V, got {raw!r}") from None
-    return (u, v) if u < v else (v, u)
+    return normalize_edge(u, v)
 
 
 def _cmd_twin(args, budget: int) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CapabilityError, DomainError, InvariantViolation
-from .graphs import Graph, _iter_bits, _matchable, _tree_walk, is_tree, normalize_edge
+from .graphs import Graph, _iter_bits, _tree_walk, _vertex_mask, is_tree, normalize_edge, perfect_matchings_within
 
 DEFAULT_BUDGET = 10**8
 
@@ -109,13 +109,8 @@ def is_dominating_set(graph: Graph, vertices) -> bool:
 
 def is_paired_dominating_set(graph: Graph, vertices) -> bool:
     """Dominating, and the induced subgraph has a perfect matching."""
-    mask = _vertex_mask(graph, vertices)
-    if not is_dominating_set(graph, vertices):
-        return False
-    if mask.bit_count() % 2:
-        return False
-    inner = tuple(b & mask for b in graph.nbr_bits)
-    return _matchable(inner, mask, {})
+    vertices = tuple(vertices)
+    return is_dominating_set(graph, vertices) and next(perfect_matchings_within(graph, vertices), None) is not None
 
 
 def solve_ev(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
@@ -187,11 +182,13 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
     INF = n + 1
     # state table per vertex: (has_edge, needs_any, needs_parent_edge) -> cost
     table: list[dict[tuple[int, int, int], int] | None] = [None] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for u in order[1:]:
+        children[parent[u]].append(u)
     for v in reversed(order):
-        children = [u for u in graph.adj[v] if u != parent[v]]
         # partial: (edge at v exists, v covered, some child still waiting) -> cost
         partial = {(0, 0, 0): 0}
-        for c in children:
+        for c in children[v]:
             child = table[c]
             assert child is not None
             grown: dict[tuple[int, int, int], int] = {}
@@ -256,8 +253,9 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     # solve_pr would.
     _require_solvable(graph)
     full = (1 << graph.n) - 1
-    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
-    order = sorted(graph.edges, key=lambda e: (-cover[e].bit_count(), e))
+    edges = graph.edges
+    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in edges}
+    order = sorted(edges, key=lambda e: (-cover[e].bit_count(), e))
     outside = [full ^ cover[e] for e in order]
     sizes = [cover[e].bit_count() for e in order]
     ends = [1 << u | 1 << v for u, v in order]
@@ -311,12 +309,3 @@ def _require_edge(graph: Graph, edge: Edge) -> None:
     u, v = edge
     if not graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-
-
-def _vertex_mask(graph: Graph, vertices) -> int:
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
-    return mask

@@ -1,9 +1,12 @@
 """Immutable simple-graph representation plus structural utilities.
 
 Vertices are dense integer ids 0..n-1 so that vertex sets can live in
-bitmasks; every solver in the package works on the per-vertex neighbor
-masks exposed as ``Graph.nbr_bits``. Graphs are immutable after
-construction and safe to hand to worker processes.
+bitmasks. A ``Graph`` stores only its vertex count and its per-vertex
+neighbor masks ``nbr_bits``, which every solver in the package reads;
+the edge tuple and the adjacency lists are rebuilt from the masks on
+each access, so hot code reads ``nbr_bits``. Graphs are immutable after
+construction and pickle as their masks, so they are cheap to hand to
+worker processes.
 """
 
 from __future__ import annotations
@@ -33,41 +36,46 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    No self-loops, no parallel edges. ``edges`` is the sorted tuple of
-    normalized endpoint pairs, ``adj[v]`` the sorted neighbor tuple and
-    ``nbr_bits[v]`` the same set as a bitmask.
+    No self-loops, no parallel edges. Only ``n`` and ``nbr_bits`` are
+    stored: ``nbr_bits[v]`` is the neighbor set of v as a bitmask.
+    ``edges`` (the sorted tuple of normalized endpoint pairs) and ``adj``
+    (``adj[v]`` is the sorted neighbor tuple) are views rebuilt from the
+    masks on each access.
     """
 
-    __slots__ = ("n", "edges", "adj", "nbr_bits")
+    __slots__ = ("n", "nbr_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            seen.add(normalize_edge(u, v))
-        self.n = n
-        self.edges = tuple(sorted(seen))
-        bits = [0] * n
-        for u, v in self.edges:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
+        self.n = n
         self.nbr_bits = tuple(bits)
-        self.adj = tuple(tuple(_iter_bits(b)) for b in bits)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u, v) for u, b in enumerate(self.nbr_bits) for v in _iter_bits(b >> u + 1 << u + 1))
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_iter_bits(b)) for b in self.nbr_bits)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(b.bit_count() for b in self.nbr_bits) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_bits[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        return tuple(_iter_bits(self.nbr_bits[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -81,16 +89,20 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.nbr_bits == other.nbr_bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __reduce__(self):
-        return (Graph, (self.n, self.edges))
+        return hash((self.n, self.nbr_bits))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _from_nbr_bits(bits: tuple[int, ...]) -> Graph:
+    # a Graph on masks that are already symmetric and loop-free, unchecked
+    graph = Graph.__new__(Graph)
+    graph.n, graph.nbr_bits = len(bits), bits
+    return graph
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -142,7 +154,7 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: vertex out of range 0..{n - 1}")
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append(normalize_edge(u, v))
+        edges.append((u, v))
         count += 1
     if header is None:
         raise GraphParseError("empty input: missing 'n m' header")
@@ -268,40 +280,22 @@ def is_tree(graph: Graph) -> bool:
 
 
 def _tree_walk(graph: Graph, root: int) -> tuple[list[int], list[int]]:
-    # Breadth-first order from root and each vertex's parent, -1 at the root.
-    # Trees only: every neighbor except the parent is taken as a child, so
-    # on a graph with a cycle the walk never ends.
+    # Breadth-first order from root and each vertex's parent, -1 at the root;
+    # on a tree every neighbor except the parent is a child.
+    bits = graph.nbr_bits
     parent = [-1] * graph.n
     order = [root]
+    seen = 1 << root
     for v in order:
-        p = parent[v]
-        for u in graph.adj[v]:
-            if u != p:
-                parent[u] = v
-                order.append(u)
+        kids = bits[v] & ~seen
+        seen |= kids
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            u = low.bit_length() - 1
+            parent[u] = v
+            order.append(u)
     return order, parent
-
-
-def _matchable(bits: tuple[int, ...], mask: int, memo: dict[int, bool]) -> bool:
-    # Pair off the lowest set vertex with each neighbor in turn.
-    if mask == 0:
-        return True
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    low = mask & -mask
-    v = low.bit_length() - 1
-    rest = mask ^ low
-    found = False
-    cand = bits[v] & rest
-    while cand:
-        ulow = cand & -cand
-        cand ^= ulow
-        if _matchable(bits, rest ^ ulow, memo):
-            found = True
-            break
-    memo[mask] = found
-    return found
 
 
 def has_perfect_matching(graph: Graph) -> bool:
@@ -310,24 +304,21 @@ def has_perfect_matching(graph: Graph) -> bool:
         raise CapabilityError(f"perfect-matching query supports n <= {MATCHING_VERTEX_BOUND}, got {graph.n}")
     if graph.n % 2:
         return False
-    full = (1 << graph.n) - 1
-    return _matchable(graph.nbr_bits, full, {})
+    return next(perfect_matchings_within(graph, range(graph.n)), None) is not None
 
 
 def perfect_matchings_within(graph: Graph, vertices: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield every perfect matching of the subgraph induced on ``vertices``.
 
     Matchings come out as sorted tuples of edges in the original labels,
-    in lexicographic order.
+    in lexicographic order: the lowest remaining vertex is paired with
+    each neighbor in turn, skipping remainders known to have no matching.
     """
-    mask = 0
-    for v in set(vertices):
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
+    mask = _vertex_mask(graph, vertices)
     if mask.bit_count() % 2:
         return
     bits = graph.nbr_bits
+    dead: set[int] = set()
 
     def rec(remaining: int, acc: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
         if remaining == 0:
@@ -337,14 +328,31 @@ def perfect_matchings_within(graph: Graph, vertices: Iterable[int]) -> Iterator[
         v = low.bit_length() - 1
         rest = remaining ^ low
         cand = bits[v] & rest
+        found = False
         while cand:
             ulow = cand & -cand
             cand ^= ulow
+            if rest ^ ulow in dead:
+                continue
             acc.append((v, ulow.bit_length() - 1))
-            yield from rec(rest ^ ulow, acc)
+            for matching in rec(rest ^ ulow, acc):
+                found = True
+                yield matching
             acc.pop()
+        if not found:
+            dead.add(remaining)
 
     yield from rec(mask, [])
+
+
+def _vertex_mask(graph: Graph, vertices: Iterable[int]) -> int:
+    # the vertices as a bitmask; ValueError names one out of range
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
 
 
 # --- canonical codes ---------------------------------------------------

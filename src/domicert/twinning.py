@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .domination import Edge
+from .domination import Edge, _require_edge
 from .errors import InvariantViolation, NotMinimumWitness
 from .graphs import Graph, normalize_edge
 
@@ -70,7 +70,8 @@ def find_private_vertex(graph: Graph, edges, edge: Edge, anchor: int) -> int:
         raise ValueError(f"{edge} is not a member of the set")
     if anchor not in edge:
         raise ValueError(f"vertex {anchor} is not an endpoint of {edge}")
-    _require_graph_edges(graph, members)
+    for member in members:
+        _require_edge(graph, member)
     return _private_vertex(graph, members, edge, anchor)
 
 
@@ -91,7 +92,8 @@ def twinning(graph: Graph, edges, e1: Edge, e2: Edge):
         raise ValueError("both edges must be members of the set")
     if len(set(e1) & set(e2)) != 1:
         raise ValueError(f"{e1} and {e2} must share exactly one vertex")
-    _require_graph_edges(graph, members)
+    for member in members:
+        _require_edge(graph, member)
     return _twin(graph, members, e1, e2)
 
 
@@ -110,7 +112,8 @@ def detangle(graph: Graph, edges) -> DetangleResult:
     # a repeated member can only be the first pair: each step drops repeats
     if len(set(_first_sharing_pair(members))) == 1:
         raise ValueError("need two distinct edges")
-    _require_graph_edges(graph, members)
+    for member in members:
+        _require_edge(graph, member)
     cap = len(members) ** 2
     current = members
     trace: list[TwinningStep] = []
@@ -162,9 +165,9 @@ def _private_vertex(graph: Graph, members, edge: Edge, anchor: int) -> int:
     for u, v in members:
         if (u, v) != edge:
             covered |= graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v)
-    for x in graph.neighbors(anchor):
-        if not covered >> x & 1:
-            return x
+    free = graph.nbr_bits[anchor] & ~covered
+    if free:
+        return (free & -free).bit_length() - 1
     raise NotMinimumWitness(f"no private vertex for {edge} at {anchor}")
 
 
@@ -180,12 +183,6 @@ def _twin(graph: Graph, members, e1: Edge, e2: Edge):
     base = set(members)
     left, right = (tuple(sorted(base - {step.replaced_edge} | {step.inserted_edge})) for step in steps)
     return left, right, *steps
-
-
-def _require_graph_edges(graph: Graph, members) -> None:
-    for u, v in members:
-        if not graph.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of the graph")
 
 
 def _first_sharing_pair(members) -> tuple[Edge, Edge] | None:

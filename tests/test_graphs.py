@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -64,6 +65,39 @@ class TestGraphConstruction:
         back = pickle.loads(pickle.dumps(g))
         assert back == g
         assert (back.edges, back.adj, back.nbr_bits) == (g.edges, g.adj, g.nbr_bits)
+
+    def test_edge_order_and_repeats_do_not_matter(self):
+        # equal graphs hash equally, and the views are rebuilt from the
+        # masks in one canonical form whatever order the edges came in
+        rng = random.Random(11)
+        for n in range(1, 7):
+            graphs = generate_connected_graphs(n) if n > 1 else [Graph(1, ())]
+            for g in graphs:
+                pairs = list(g.edges)
+                mixed = pairs + [(v, u) for u, v in pairs] + rng.sample(pairs, len(pairs) // 2)
+                rng.shuffle(mixed)
+                h = Graph(n, mixed)
+                assert h == g and hash(h) == hash(g)
+                assert h.edges == g.edges == tuple(sorted({(min(e), max(e)) for e in mixed}))
+                adj = tuple(tuple(sorted({u for e in pairs if v in e for u in e} - {v})) for v in range(n))
+                assert h.adj == g.adj == adj
+                assert h.edge_count == g.edge_count == len(pairs)
+                assert [h.degree(v) for v in range(n)] == [len(a) for a in adj]
+                assert [h.neighbors(v) for v in range(n)] == list(adj)
+
+    def test_graph_stores_only_its_masks(self):
+        # an n=7 graph is its vertex count and seven small masks; the
+        # edge tuple and adjacency lists are not kept alongside them
+        pairs = [(g.n, g.edges) for g in generate_connected_graphs(7)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = [Graph(n, edges) for n, edges in pairs]
+            per_graph = (tracemalloc.get_traced_memory()[0] - before) / len(built)
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 853
+        assert per_graph < 400
 
 
 class TestEdgeListFormat:
