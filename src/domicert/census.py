@@ -58,17 +58,17 @@ CONNECTED = "connected_graphs"
 CHECK_NAMES = ("claim", "cor1", "cor_general", "cor_general2", "lemma1", "thm1", "thm2", "thm2_probe")
 STANDARD_CHECKS = ("claim", "cor1", "cor_general", "cor_general2", "lemma1", "thm1", "thm2")
 
+# connected classes per vertex count, for the generator's cross-check and range
+_CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
 TREE_GENERATION_BOUND = 16
-CONNECTED_GENERATION_BOUND = 8
+CONNECTED_GENERATION_BOUND = max(_CONNECTED_CLASS_COUNTS)
 # largest census pool; a fixed cap rather than the host's CPU count, so a
 # configuration is valid or not the same way on every machine
 WORKER_BOUND = 32
 # graphs per pool task; batching spreads the pickling and messaging of a
 # task over several small graphs
 CHUNK_SIZE = 64
-
-# connected graph classes per vertex count, for generator cross-checks
-_CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 REPORT_VERSION = "report-v1"
 

@@ -148,6 +148,11 @@ def _fmt_set(kind: str, members) -> str:
     return _fmt_edge_set(members) if kind == "ev" else _fmt_vertex_set(members)
 
 
+def _fmt_step(step) -> str:
+    return (f"replaced {_fmt_edge(step.replaced_edge)} with {_fmt_edge(step.inserted_edge)}; "
+            f"private vertex {step.private_vertex}, shared vertex {step.shared_vertex}")
+
+
 def _solve(graph: Graph, kind: str, budget: int):
     return solve_ev(graph, budget) if kind == "ev" else solve_pr(graph, budget)
 
@@ -221,12 +226,8 @@ def _cmd_twin(args, budget: int) -> int:
         raise ValueError(f"no minimum ev-dominating set contains both {_fmt_edge(e1)} and {_fmt_edge(e2)}")
     left, right, step_l, step_r = twinning(graph, chosen, e1, e2)
     print(f"set: {_fmt_edge_set(chosen)}")
-    print(f"left: {_fmt_edge_set(left)}; replaced {_fmt_edge(step_l.replaced_edge)} "
-          f"with {_fmt_edge(step_l.inserted_edge)}; private vertex {step_l.private_vertex}, "
-          f"shared vertex {step_l.shared_vertex}")
-    print(f"right: {_fmt_edge_set(right)}; replaced {_fmt_edge(step_r.replaced_edge)} "
-          f"with {_fmt_edge(step_r.inserted_edge)}; private vertex {step_r.private_vertex}, "
-          f"shared vertex {step_r.shared_vertex}")
+    print(f"left: {_fmt_edge_set(left)}; {_fmt_step(step_l)}")
+    print(f"right: {_fmt_edge_set(right)}; {_fmt_step(step_r)}")
     return 0
 
 
@@ -241,9 +242,7 @@ def _cmd_detangle(args, budget: int) -> int:
     print(f"set: {_fmt_edge_set(chosen)}")
     print(f"iterations: {result.iterations}")
     for i, step in enumerate(result.trace, start=1):
-        print(f"step {i}: replaced {_fmt_edge(step.replaced_edge)} with "
-              f"{_fmt_edge(step.inserted_edge)}; private vertex {step.private_vertex}, "
-              f"shared vertex {step.shared_vertex}")
+        print(f"step {i}: {_fmt_step(step)}")
     print(f"left: {_fmt_edge_set(result.left)}")
     print(f"right: {_fmt_edge_set(result.right)}")
     return 0

@@ -169,9 +169,12 @@ def uniqueness(graph: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Uniquen
 def gamma_ev_tree_fast(graph: Graph) -> int:
     """Minimum ev-dominating set size of a tree, by dynamic programming.
 
-    Linear in the vertex count. Each vertex reports, per (subtree edge
-    incident to it, still uncovered, has an uncovered child that only the
-    parent edge can fix) state, the cheapest subtree completion.
+    Linear in the vertex count. Each vertex v keeps one row of five
+    slots, the cheapest edge count in the subtrees of the children folded
+    into it so far: ``on`` when v is an endpoint of a chosen edge, else
+    ``free``, ``waiting``, ``covered`` or ``both`` as v is dominated (no,
+    no, yes, yes) and some folded child still needs v on an edge (no, yes,
+    no, yes). A child joins its parent's row once its own row is done.
     """
     if not is_tree(graph):
         raise DomainError("tree solver needs a tree")
@@ -180,44 +183,21 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
         raise DomainError("need at least two vertices")
     order, parent = _tree_walk(graph, 0)
     INF = n + 1
-    # state table per vertex: (has_edge, needs_any, needs_parent_edge) -> cost
-    table: list[dict[tuple[int, int, int], int] | None] = [None] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for u in order[1:]:
-        children[parent[u]].append(u)
-    for v in reversed(order):
-        # partial: (edge at v exists, v covered, some child still waiting) -> cost
-        partial = {(0, 0, 0): 0}
-        for c in children[v]:
-            child = table[c]
-            assert child is not None
-            grown: dict[tuple[int, int, int], int] = {}
-            for (any_edge, covered, waiting), cost in partial.items():
-                for (has, need_any, need_parent), ccost in child.items():
-                    # leave the edge v-c out: child must not depend on it
-                    if not need_parent:
-                        key = (any_edge, covered | has, waiting | need_any)
-                        value = cost + ccost
-                        if grown.get(key, INF) > value:
-                            grown[key] = value
-                    # take the edge v-c: covers v and settles the child
-                    key = (1, 1, waiting)
-                    value = cost + ccost + 1
-                    if grown.get(key, INF) > value:
-                        grown[key] = value
-            partial = grown
-        final: dict[tuple[int, int, int], int] = {}
-        for (any_edge, covered, waiting), cost in partial.items():
-            need_any = 0 if covered else 1
-            need_parent = 1 if waiting and not any_edge else 0
-            key = (any_edge, need_any, need_parent)
-            if final.get(key, INF) > cost:
-                final[key] = cost
-        table[v] = final
-    root = table[0]
-    assert root is not None
-    best = min((cost for (has, need_any, need_parent), cost in root.items()
-                if not need_any and not need_parent), default=INF)
+    rows = [[INF, 0, INF, INF, INF] for _ in range(n)]
+    for c in reversed(order[1:]):
+        c_on, c_free, _, c_covered, _ = child = rows[c]
+        row = rows[parent[c]]
+        on, free, waiting, covered, both = row
+        # take the edge c-parent and the parent is on; leave it out only if
+        # c is not waiting or both: c on dominates the parent, c free makes
+        # it wait, c covered changes nothing
+        leave = min(c_on, c_free, c_covered)
+        row[:] = (min(on + leave, min(row) + min(child) + 1),
+                  free + c_covered,
+                  min(waiting + c_covered, waiting + c_free, free + c_free),
+                  min(covered + c_covered, free + c_on, covered + c_on),
+                  min(both + leave, waiting + c_on, covered + c_free))
+    best = min(rows[0][0], rows[0][3])
     if best >= INF:
         raise InvariantViolation("tree DP found no feasible selection")
     return best

@@ -15,8 +15,8 @@ from collections.abc import Iterable, Iterator
 
 from .errors import CapabilityError, GraphParseError
 
-# Perfect-matching queries use a subset DP over vertex bitmasks, so the
-# vertex count is capped where 2^n state tables stay reasonable.
+# Only has_perfect_matching is capped: its search memoizes the vertex
+# remainders that have no perfect matching, which can grow exponentially.
 MATCHING_VERTEX_BOUND = 24
 
 # Edge-list headers above this vertex count are refused before anything is

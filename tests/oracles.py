@@ -7,10 +7,12 @@ neighbor lists, matchings found by trying disjoint edge subsets, trees
 enumerated from labeled sequences and deduplicated, colors refined by
 sorting neighbor-color lists. The lemma1 referee
 replays detangle from the definitions, then runs the package's
-``detangle`` and requires the same outcome. The one exception is
-``min_edge_covers_per_leaf``, the former search kernel with one call per
-search node, kept as the referee for the hit order and the node count of
-the package's kernel.
+``detangle`` and requires the same outcome. Two former package
+routines are the exceptions: ``min_edge_covers_per_leaf``, the search
+kernel with one call per search node, kept as the referee for the hit
+order and the node count of the package's kernel, and
+``gamma_ev_tree_triples``, the tree DP over (has edge, needs any, needs
+parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ from itertools import combinations, permutations
 
 from domicert import (
     CapabilityError,
+    DomainError,
     Graph,
     InvariantViolation,
     NotMinimumWitness,
     canonical_code,
     detangle,
+    is_tree,
 )
+from domicert.graphs import _tree_walk
 
 
 def ev_dominates_naive(graph: Graph, edge, vertex: int) -> bool:
@@ -204,6 +209,63 @@ def min_edge_covers_per_leaf(graph: Graph, budget: int, matching: bool):
         if hits:
             return k, hits, budget - left
     raise AssertionError("no ev-dominating matching up to n // 2 edges")
+
+
+def gamma_ev_tree_triples(graph: Graph) -> int:
+    """Minimum ev-dominating set size of a tree, by dynamic programming.
+
+    Linear in the vertex count. Each vertex reports, per (subtree edge
+    incident to it, still uncovered, has an uncovered child that only the
+    parent edge can fix) state, the cheapest subtree completion.
+    """
+    if not is_tree(graph):
+        raise DomainError("tree solver needs a tree")
+    n = graph.n
+    if n < 2:
+        raise DomainError("need at least two vertices")
+    order, parent = _tree_walk(graph, 0)
+    INF = n + 1
+    # state table per vertex: (has_edge, needs_any, needs_parent_edge) -> cost
+    table: list[dict[tuple[int, int, int], int] | None] = [None] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for u in order[1:]:
+        children[parent[u]].append(u)
+    for v in reversed(order):
+        # partial: (edge at v exists, v covered, some child still waiting) -> cost
+        partial = {(0, 0, 0): 0}
+        for c in children[v]:
+            child = table[c]
+            assert child is not None
+            grown: dict[tuple[int, int, int], int] = {}
+            for (any_edge, covered, waiting), cost in partial.items():
+                for (has, need_any, need_parent), ccost in child.items():
+                    # leave the edge v-c out: child must not depend on it
+                    if not need_parent:
+                        key = (any_edge, covered | has, waiting | need_any)
+                        value = cost + ccost
+                        if grown.get(key, INF) > value:
+                            grown[key] = value
+                    # take the edge v-c: covers v and settles the child
+                    key = (1, 1, waiting)
+                    value = cost + ccost + 1
+                    if grown.get(key, INF) > value:
+                        grown[key] = value
+            partial = grown
+        final: dict[tuple[int, int, int], int] = {}
+        for (any_edge, covered, waiting), cost in partial.items():
+            need_any = 0 if covered else 1
+            need_parent = 1 if waiting and not any_edge else 0
+            key = (any_edge, need_any, need_parent)
+            if final.get(key, INF) > cost:
+                final[key] = cost
+        table[v] = final
+    root = table[0]
+    assert root is not None
+    best = min((cost for (has, need_any, need_parent), cost in root.items()
+                if not need_any and not need_parent), default=INF)
+    if best >= INF:
+        raise InvariantViolation("tree DP found no feasible selection")
+    return best
 
 
 def refine_colors_naive(graph: Graph) -> list[int]:

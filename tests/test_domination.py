@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from domicert import (
@@ -23,7 +25,13 @@ from domicert import (
 from domicert.domination import DEFAULT_BUDGET, _min_edge_covers
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222
-from .oracles import min_edge_covers_per_leaf, min_ev_family_naive, min_pr_family_naive, tree_from_prufer
+from .oracles import (
+    gamma_ev_tree_triples,
+    min_edge_covers_per_leaf,
+    min_ev_family_naive,
+    min_pr_family_naive,
+    tree_from_prufer,
+)
 
 # budget tests pin the search nodes a solve spends: the smallest budget
 # that finishes on each of these graphs
@@ -355,3 +363,14 @@ class TestTreeFastPath:
         for n in range(2, 11):
             for g in generate_trees(n):
                 assert gamma_ev_tree_fast(g) == solve_ev(g).gamma
+
+    def test_agrees_with_triple_dp_beyond_the_solver(self):
+        # past the reach of the exhaustive solver, the five-slot rows are
+        # refereed by the former DP over (edge, uncovered, waiting) triples
+        for g in generate_trees(15):
+            assert gamma_ev_tree_fast(g) == gamma_ev_tree_triples(g)
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randint(16, 300)
+            g = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)], n)
+            assert gamma_ev_tree_fast(g) == gamma_ev_tree_triples(g)

@@ -197,6 +197,39 @@ class TestGraph6:
             emit_graph6(Graph(63, ()))
 
 
+class TestRoundTrips:
+    def test_random_graphs_through_both_formats(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def graph_and_edge_text(draw):
+            # any n graph6's short form takes, at any density; the edge
+            # list comes back shuffled, partly reversed, with blank and
+            # comment lines anywhere, and its header count still true
+            n = draw(st.integers(min_value=0, max_value=62))
+            density = draw(st.floats(min_value=0, max_value=1))
+            rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+            header, *pairs = emit_edge_list(g).splitlines()
+            pairs = [" ".join(line.split()[::-1]) if rng.random() < 0.5 else line for line in pairs]
+            rng.shuffle(pairs)
+            lines = [header, *pairs]
+            for _ in range(rng.randint(0, 4)):
+                lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "# note", "#7 3"]))
+            return g, "\n".join(lines)
+
+        @settings(max_examples=100, deadline=None)
+        @given(graph_and_edge_text())
+        def check(case):
+            g, text = case
+            assert parse_graph6(emit_graph6(g)) == g
+            assert parse_edge_list(text) == g
+
+        check()
+
+
 class TestInducedSubgraph:
     def test_cycle_out_of_pendant_cycle(self):
         sub, mapping = induced_subgraph(pendant_cycle(), [0, 1, 2, 3])
