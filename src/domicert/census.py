@@ -43,6 +43,7 @@ from .graphs import (
     Graph,
     _from_nbr_bits,
     _general_code,
+    _twin_pairs,
     canonical_code,
     emit_graph6,
     is_tree,
@@ -176,16 +177,8 @@ def _next_free_tree(candidate):
 
 def _split_first_subtree(levels):
     # First subtree of the root versus everything else (re-rooted at 0).
-    second = None
-    seen_one = False
-    for i, lev in enumerate(levels):
-        if lev == 1:
-            if seen_one:
-                second = i
-                break
-            seen_one = True
-    if second is None:
-        second = len(levels)
+    # levels[1] is always 1, so the rest starts at the next 1, if any
+    second = levels.index(1, 2) if 1 in levels[2:] else len(levels)
     left = [levels[i] - 1 for i in range(1, second)]
     rest = [0] + [levels[i] for i in range(second, len(levels))]
     return left, rest
@@ -215,10 +208,10 @@ def _levels_to_graph(levels) -> Graph:
 #   connected, so attaching v back to its representative reaches H. A
 #   child in which some other vertex x is not a cut vertex (every component
 #   of g - x meets the mask) and has a larger degree than u adds no class.
-# * Twin orbits. Swapping twins x < y of g (equal open or equal closed
-#   neighbourhoods) is an automorphism of g; it maps a mask holding y but
-#   not x to a smaller mask with an isomorphic child, which the first rule,
-#   being invariant under automorphisms, keeps too.
+# * Twin orbits. Swapping twins x < y of g (``_twin_pairs``) is an
+#   automorphism of g; it maps a mask holding y but not x to a smaller mask
+#   with an isomorphic child, which the first rule, being invariant under
+#   automorphisms, keeps too.
 #
 # Codes of the survivors come from their neighbour masks; each child is a
 # Graph built on those masks, which are not checked again.
@@ -280,12 +273,6 @@ def _attach(g: Graph, mask: int) -> Graph:
     return _from_nbr_bits(tuple(b | (mask >> i & 1) << g.n for i, b in enumerate(g.nbr_bits)) + (mask,))
 
 
-def _twin_pairs(bits: tuple[int, ...]) -> list[tuple[int, int]]:
-    # pairs x < y with equal open or equal closed neighbourhoods
-    return [(x, y) for y in range(len(bits)) for x in range(y)
-            if bits[x] == bits[y] or bits[x] | 1 << x == bits[y] | 1 << y]
-
-
 def _components(bits: tuple[int, ...], alive: int) -> list[int]:
     # vertex masks of the components of the subgraph induced on ``alive``
     parts = []
@@ -340,30 +327,20 @@ def _check_cor1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
 
 
 def _check_cor_general(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    if len(pr.sets) == 1:
-        if len(ev.sets) != 1:
-            return False
-        m = ev.sets[0]
-        d = pr.sets[0]
-        if spanned_vertices(m) != frozenset(d):
-            return False
-        if list(perfect_matchings_within(graph, d)) != [m]:
-            return False
-    if len(ev.sets) == 1:
-        m = ev.sets[0]
-        if len(pr.sets) != 1 or frozenset(pr.sets[0]) != spanned_vertices(m):
-            return False
-    return True
+    # either family unique: both are, the ev-set spans the paired set and
+    # is the only perfect matching inside it
+    if len(ev.sets) != 1 and len(pr.sets) != 1:
+        return True
+    return (len(ev.sets) == len(pr.sets) == 1
+            and spanned_vertices(ev.sets[0]) == frozenset(pr.sets[0])
+            and list(perfect_matchings_within(graph, pr.sets[0])) == [ev.sets[0]])
 
 
 def _check_cor_general2(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
     spans = {spanned_vertices(m) for m in ev.sets}
-    paired_unique = len(pr.sets) == 1
-    if paired_unique != (len(spans) == 1):
-        return False
-    if paired_unique and spans != {frozenset(pr.sets[0])}:
-        return False
-    return True
+    if len(pr.sets) == 1:
+        return spans == {frozenset(pr.sets[0])}
+    return len(spans) > 1
 
 
 def _check_claim(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:

@@ -72,11 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = graph_command("solve", "minimum set size and family size")
     p.add_argument("--kind", choices=("ev", "pr"), required=True)
-    p.set_defaults(run=_cmd_solve)
+    p.set_defaults(run=_cmd_family)
 
     p = graph_command("enumerate", "list every minimum set")
     p.add_argument("--kind", choices=("ev", "pr"), required=True)
-    p.set_defaults(run=_cmd_enumerate)
+    p.set_defaults(run=_cmd_family)
 
     p = graph_command("unique", "uniqueness verdict for the minimum family")
     p.add_argument("--kind", choices=("ev", "pr"), required=True)
@@ -153,27 +153,23 @@ def _fmt_step(step) -> str:
             f"private vertex {step.private_vertex}, shared vertex {step.shared_vertex}")
 
 
-def _solve(graph: Graph, kind: str, budget: int):
-    return solve_ev(graph, budget) if kind == "ev" else solve_pr(graph, budget)
-
-
 def _plural(count: int, noun: str) -> str:
     return f"{count} {noun}" if count == 1 else f"{count} {noun}s"
 
 
-def _cmd_solve(args, budget: int) -> int:
-    family = _solve(_load_graph(args), args.kind, budget)
-    label = "gamma_ev" if args.kind == "ev" else "gamma_pr"
-    print(f"{label} = {family.gamma}; {_plural(len(family.sets), 'minimum set')}")
-    return 0
+def _family_line(family) -> str:
+    label = "gamma_ev" if family.kind == "ev" else "gamma_pr"
+    return f"{label} = {family.gamma}; {_plural(len(family.sets), 'minimum set')}"
 
 
-def _cmd_enumerate(args, budget: int) -> int:
-    family = _solve(_load_graph(args), args.kind, budget)
-    label = "gamma_ev" if args.kind == "ev" else "gamma_pr"
-    print(f"{label} = {family.gamma}; {_plural(len(family.sets), 'minimum set')}")
-    for members in family.sets:
-        print(_fmt_set(family.kind, members))
+def _cmd_family(args, budget: int) -> int:
+    # solve prints the family line; enumerate also lists the sets
+    graph = _load_graph(args)
+    family = solve_ev(graph, budget) if args.kind == "ev" else solve_pr(graph, budget)
+    print(_family_line(family))
+    if args.command == "enumerate":
+        for members in family.sets:
+            print(_fmt_set(family.kind, members))
     return 0
 
 
@@ -192,7 +188,7 @@ def _cmd_unique(args, budget: int) -> int:
 
 def _cmd_span(args, budget: int) -> int:
     family = solve_ev(_load_graph(args), budget)
-    print(f"gamma_ev = {family.gamma}; {_plural(len(family.sets), 'minimum set')}")
+    print(_family_line(family))
     spans = set()
     for members in family.sets:
         span = spanned_vertices(members)

@@ -270,10 +270,13 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
             descend(i + 1, slots - 1, chosen, uncovered & outside[i], used | ends[i])
             chosen.pop()
 
-    for k in range(1, graph.n // 2 + 1):
-        descend(0, k, [], full, 0)
-        if hits:
-            return k, hits
+    try:
+        for k in range(1, graph.n // 2 + 1):
+            descend(0, k, [], full, 0)
+            if hits:
+                return k, hits
+    except RecursionError:
+        raise CapabilityError(f"search for {k} edges goes deeper than the recursion limit") from None
     raise InvariantViolation("no ev-dominating matching up to n // 2 edges")
 
 

@@ -313,6 +313,8 @@ def perfect_matchings_within(graph: Graph, vertices: Iterable[int]) -> Iterator[
     Matchings come out as sorted tuples of edges in the original labels,
     in lexicographic order: the lowest remaining vertex is paired with
     each neighbor in turn, skipping remainders known to have no matching.
+    One call per matched pair, so a search past the interpreter's recursion
+    limit raises CapabilityError.
     """
     mask = _vertex_mask(graph, vertices)
     if mask.bit_count() % 2:
@@ -342,7 +344,11 @@ def perfect_matchings_within(graph: Graph, vertices: Iterable[int]) -> Iterator[
         if not found:
             dead.add(remaining)
 
-    yield from rec(mask, [])
+    try:
+        yield from rec(mask, [])
+    except RecursionError:
+        raise CapabilityError(
+            f"matching search over {mask.bit_count()} vertices goes deeper than the recursion limit") from None
 
 
 def _vertex_mask(graph: Graph, vertices: Iterable[int]) -> int:
@@ -384,8 +390,6 @@ def _general_code(n: int, bits: tuple[int, ...]) -> bytes:
 def _tree_code(graph: Graph) -> bytes:
     if graph.n == 0:
         return b""
-    if graph.n == 1:
-        return b"()"
     return min(_rooted_code(graph, root) for root in _tree_centroids(graph))
 
 
@@ -426,6 +430,13 @@ def _rooted_code(graph: Graph, root: int) -> bytes:
     return code[root]
 
 
+def _twin_pairs(bits: tuple[int, ...]) -> list[tuple[int, int]]:
+    # pairs x < y with equal open or equal closed neighbourhoods; swapping
+    # them is an automorphism
+    return [(x, y) for y in range(len(bits)) for x in range(y)
+            if bits[x] == bits[y] or bits[x] | 1 << x == bits[y] | 1 << y]
+
+
 def _refine_colors(bits: tuple[int, ...]) -> list[int]:
     # Iterated neighborhood color refinement; ids depend only on structure.
     # Vertices of one color have one degree, so ranking them by (color,
@@ -456,10 +467,10 @@ def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:
     the smallest row achieved along a prefix that ties the earlier
     positions exactly; a strictly smaller row claims its slot at once and
     invalidates everything deeper, so every surviving branch ties the
-    best prefix and the array ends up holding the global minimum. Twin
-    vertices (equal neighborhoods, open or closed) are interchangeable
-    by an automorphism, so only the first of each twin group is explored
-    at any node.
+    best prefix and the array ends up holding the global minimum. Twins
+    (``_twin_pairs``) are interchangeable by an automorphism, share a
+    color and, while both are unplaced, a row; so a vertex is skipped,
+    like a placed one, while a smaller twin is unplaced.
     """
     if n <= 1:
         return b""
@@ -470,6 +481,9 @@ def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:
     slot_class: list[list[int]] = []
     for cls in classes:
         slot_class.extend([cls] * len(cls))
+    smaller = [0] * n
+    for x, y in _twin_pairs(bits):
+        smaller[y] |= 1 << x
     infinity = 1 << n
     best = [infinity] * n
     placed = [0] * n
@@ -481,7 +495,7 @@ def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:
             return
         ranked = []
         for v in slot_class[pos]:
-            if used >> v & 1:
+            if used & (smaller[v] | 1 << v) != smaller[v]:
                 continue
             row = 0
             vb = bits[v]
@@ -489,15 +503,9 @@ def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:
                 row = row << 1 | (vb >> placed[i] & 1)
             ranked.append((row, v))
         ranked.sort()
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
         for row, v in ranked:
             if row > best[pos]:
                 break
-            if bits[v] in seen_open or bits[v] | 1 << v in seen_closed:
-                continue
-            seen_open.add(bits[v])
-            seen_closed.add(bits[v] | 1 << v)
             if row < best[pos]:
                 best[pos] = row
                 for k in range(pos + 1, n):

@@ -5,29 +5,36 @@ package's bitmask machinery, so agreement is meaningful: subset sweeps
 by explicit combinations, domination checked vertex by vertex through
 neighbor lists, matchings found by trying disjoint edge subsets, trees
 enumerated from labeled sequences and deduplicated, colors refined by
-sorting neighbor-color lists. The lemma1 referee
+sorting neighbor-color lists, canonical codes minimized over every
+color-respecting ordering. The lemma1 referee
 replays detangle from the definitions, then runs the package's
-``detangle`` and requires the same outcome. Two former package
-routines are the exceptions: ``min_edge_covers_per_leaf``, the search
+``detangle`` and requires the same outcome. Former package routines are
+the exceptions: ``min_edge_covers_per_leaf``, the search
 kernel with one call per search node, kept as the referee for the hit
-order and the node count of the package's kernel, and
+order and the node count of the package's kernel;
 ``gamma_ev_tree_triples``, the tree DP over (has edge, needs any, needs
-parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``.
+parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``;
+and ``cor_general_blocks`` and ``cor_general2_blocks``, the two
+corollary checks as overlapping blocks, kept as referees for the
+census's one-rule statements.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from domicert import (
     CapabilityError,
     DomainError,
     Graph,
     InvariantViolation,
+    MinSetFamily,
     NotMinimumWitness,
     canonical_code,
     detangle,
     is_tree,
+    perfect_matchings_within,
+    spanned_vertices,
 )
 from domicert.graphs import _tree_walk
 
@@ -280,6 +287,52 @@ def refine_colors_naive(graph: Graph) -> list[int]:
         if fresh == color:
             return color
         color = fresh
+
+
+def min_adjacency_bytes_naive(graph: Graph) -> bytes:
+    """Smallest packed upper triangle (column by column, as in graph6) over
+    every ordering that lists the vertices by non-decreasing
+    ``refine_colors_naive`` color, right-aligned in whole bytes."""
+    n = graph.n
+    color = refine_colors_naive(graph)
+    classes = [[v for v in range(n) if color[v] == c] for c in sorted(set(color))]
+    best = None
+    for parts in product(*(permutations(cls) for cls in classes)):
+        order = [v for part in parts for v in part]
+        bits = [int(graph.has_edge(order[i], order[j])) for j in range(1, n) for i in range(j)]
+        if best is None or bits < best:
+            best = bits
+    value = int("".join(map(str, best)) or "0", 2)
+    return value.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+
+
+def cor_general_blocks(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The ``cor_general`` check as two overlapping blocks, one per unique family."""
+    if len(pr.sets) == 1:
+        if len(ev.sets) != 1:
+            return False
+        m = ev.sets[0]
+        d = pr.sets[0]
+        if spanned_vertices(m) != frozenset(d):
+            return False
+        if list(perfect_matchings_within(graph, d)) != [m]:
+            return False
+    if len(ev.sets) == 1:
+        m = ev.sets[0]
+        if len(pr.sets) != 1 or frozenset(pr.sets[0]) != spanned_vertices(m):
+            return False
+    return True
+
+
+def cor_general2_blocks(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The ``cor_general2`` check as an equivalence test plus a span test."""
+    spans = {spanned_vertices(m) for m in ev.sets}
+    paired_unique = len(pr.sets) == 1
+    if paired_unique != (len(spans) == 1):
+        return False
+    if paired_unique and spans != {frozenset(pr.sets[0])}:
+        return False
+    return True
 
 
 def tree_from_prufer(seq, n: int) -> Graph:

@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+from collections import Counter
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +29,7 @@ from domicert import (
     parse_graph6,
     run_census,
     solve_ev,
+    solve_families,
     solve_pr,
     tree_class_count,
     verify_graph,
@@ -35,7 +38,14 @@ from domicert import census
 from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
 
 from .conftest import path_graph, pendant_cycle, spider_222
-from .oracles import connected_classes_labeled, tree_classes_prufer, tree_classes_prufer_ordered, tree_from_prufer
+from .oracles import (
+    connected_classes_labeled,
+    cor_general2_blocks,
+    cor_general_blocks,
+    tree_classes_prufer,
+    tree_classes_prufer_ordered,
+    tree_from_prufer,
+)
 
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -275,6 +285,43 @@ class TestVerifyGraph:
     def test_empty_checks_rejected(self):
         with pytest.raises(ValueError):
             verify_graph(path_graph(3), ())
+
+
+def _doctored(sets: tuple) -> list[tuple]:
+    # nonempty subfamilies of a family: each one or two of its sets, and all
+    return sorted({*combinations(sets, 1), *combinations(sets, 2), sets})
+
+
+def _k4_families():
+    # the ev-set spans the paired set, but K4 has three perfect matchings
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    return k4, MinSetFamily("ev", 2, (((0, 1), (2, 3)),), k4), MinSetFamily("paired", 4, ((0, 1, 2, 3),), k4)
+
+
+class TestCorollaryChecks:
+    # every census graph passes both checks, so they are driven to fail on
+    # families doctored from the real ones and held to the former
+    # overlapping-block statements
+    def test_agree_with_block_referees_on_doctored_families(self):
+        cases = [_k4_families()]
+        graphs = [g for n in range(2, 7) for g in generate_trees(n)]
+        graphs += [g for n in range(2, 6) for g in generate_connected_graphs(n)]
+        for g in graphs:
+            ev, pr = solve_families(g)
+            cases += [(g, dataclasses.replace(ev, sets=ev_sets), dataclasses.replace(pr, sets=pr_sets))
+                      for ev_sets in _doctored(ev.sets) for pr_sets in _doctored(pr.sets)]
+        fails = Counter()
+        for g, ev, pr in cases:
+            for name, referee in (("cor_general", cor_general_blocks), ("cor_general2", cor_general2_blocks)):
+                verdict = census._CHECK_TABLE[name](g, ev, pr)
+                assert verdict == referee(g, ev, pr), (emit_graph6(g), name, ev.sets, pr.sets)
+                fails[name] += not verdict
+        assert fails["cor_general"] > 0 and fails["cor_general2"] > 0
+
+    def test_k4_fails_only_the_perfect_matching_clause(self):
+        k4, ev, pr = _k4_families()
+        assert not census._check_cor_general(k4, ev, pr)
+        assert census._check_cor_general2(k4, ev, pr)
 
 
 class TestLemma1Failures:

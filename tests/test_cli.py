@@ -165,6 +165,22 @@ class TestUniqueAndSpan:
         ]
 
 
+class TestSearchDepth:
+    @pytest.mark.parametrize("command", [
+        ("solve", "--kind", "ev"), ("solve", "--kind", "pr"), ("enumerate", "--kind", "ev"),
+        ("unique", "--kind", "ev"), ("span",), ("detangle",),
+    ])
+    def test_past_recursion_limit_exit_three(self, capsys, tmp_graph_file, command):
+        # 2000 disjoint edges, all in the one minimum ev-set: the search
+        # takes one call per chosen edge
+        path = tmp_graph_file("4000 2000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(2000)))
+        code, out, err = run_cli(capsys, *command, path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("capability error:")
+        assert "Traceback" not in err
+
+
 class TestTwinAndDetangle:
     def test_twin_spider(self, capsys, tmp_graph_file):
         path = tmp_graph_file(SPIDER_TEXT)

@@ -288,6 +288,17 @@ class TestSearchKernel:
                 _min_edge_covers(g, nodes - 1, matching)
 
 
+class TestSearchDepth:
+    # one call per matched pair: past the recursion limit the enumeration
+    # reports that it could not finish
+    def test_long_path_is_capability_error(self):
+        with pytest.raises(CapabilityError):
+            is_paired_dominating_set(path_graph(2400), range(2400))
+
+    def test_shorter_path_still_answers(self):
+        assert is_paired_dominating_set(path_graph(600), range(600))
+
+
 class TestStructuralInvariants:
     def test_double_ev_equals_pr_small(self):
         graphs = [g for n in range(2, 8) for g in generate_trees(n)]

@@ -27,7 +27,7 @@ from domicert import (
 from domicert.graphs import EDGE_LIST_VERTEX_BOUND, GENERAL_CANONICAL_BOUND, _refine_colors
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222, star_graph
-from .oracles import has_perfect_matching_naive, refine_colors_naive
+from .oracles import has_perfect_matching_naive, min_adjacency_bytes_naive, refine_colors_naive
 
 
 def _relabel(graph: Graph, perm) -> Graph:
@@ -321,6 +321,19 @@ class TestCanonicalCode:
             graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density]))
         for g in graphs:
             assert _refine_colors(g.nbr_bits) == refine_colors_naive(g)
+
+    def test_general_code_is_minimal_over_color_respecting_orderings(self):
+        graphs = [g for n in range(2, 7) for g in generate_connected_graphs(n) if not is_tree(g)]
+        assert len(graphs) == 129
+        rng = random.Random(13)
+        while len(graphs) < 229:
+            n = rng.randint(2, 7)
+            density = rng.random()
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+            if not is_tree(g):
+                graphs.append(g)
+        for g in graphs:
+            assert canonical_code(g)[2:] == min_adjacency_bytes_naive(g)
 
     def test_path_vs_star(self):
         assert canonical_code(path_graph(4)) != canonical_code(star_graph(3))
