@@ -43,21 +43,18 @@ from .graphs import (
     Graph,
     _from_nbr_bits,
     _general_code,
+    _tree_walk,
     _twin_pairs,
     canonical_code,
     emit_graph6,
     is_tree,
     parse_edge_list,
     perfect_matchings_within,
-    reachable_bits,
 )
 from .twinning import _claim_holds, _sharing_pairs, detangle
 
 TREES = "trees"
 CONNECTED = "connected_graphs"
-
-CHECK_NAMES = ("claim", "cor1", "cor_general", "cor_general2", "lemma1", "thm1", "thm2", "thm2_probe")
-STANDARD_CHECKS = ("claim", "cor1", "cor_general", "cor_general2", "lemma1", "thm1", "thm2")
 
 # connected classes per vertex count, for the generator's cross-check and range
 _CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -253,7 +250,7 @@ def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
     tree = g.edge_count == newcomer - 1
     twins = [(1 << x | 1 << y, 1 << y) for x, y in _twin_pairs(bits)]
     degree = [b.bit_count() for b in bits]
-    parts = [_components(bits, full ^ 1 << x) for x in range(newcomer)]
+    parts = [_components(g, full ^ 1 << x) for x in range(newcomer)]
     found: dict[bytes, int] = {}
     for mask in range(1, 1 << newcomer):
         if any(mask & pair == y for pair, y in twins):
@@ -273,11 +270,11 @@ def _attach(g: Graph, mask: int) -> Graph:
     return _from_nbr_bits(tuple(b | (mask >> i & 1) << g.n for i, b in enumerate(g.nbr_bits)) + (mask,))
 
 
-def _components(bits: tuple[int, ...], alive: int) -> list[int]:
-    # vertex masks of the components of the subgraph induced on ``alive``
+def _components(g: Graph, alive: int) -> list[int]:
+    # vertex masks of the components of the subgraph of g induced on ``alive``
     parts = []
     while alive:
-        part = reachable_bits(bits, alive & -alive, alive)
+        part = sum(1 << v for v in _tree_walk(g, (alive & -alive).bit_length() - 1, alive)[0])
         parts.append(part)
         alive ^= part
     return parts
@@ -391,9 +388,15 @@ _CHECK_TABLE = {
     "claim": _check_claim,
     "lemma1": _check_lemma1,
 }
+CHECK_NAMES = tuple(sorted(_CHECK_TABLE))
+# every check whose failure would be a bug; thm2_probe failures are findings
+STANDARD_CHECKS = tuple(name for name in CHECK_NAMES if name != "thm2_probe")
+VERDICTS = ("pass", "fail", "skip", "na")
 
 
 def _validated_checks(checks) -> tuple[str, ...]:
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a tuple of check names, not the string {checks!r}")
     names = tuple(sorted(set(checks)))
     if not names:
         raise ValueError("need at least one check")
@@ -436,28 +439,34 @@ class CensusConfig:
 class CensusReport:
     """Aggregated verdicts; the JSON form is canonical and timing-free."""
 
-    family: str
-    n_min: int
-    n_max: int
-    checks: tuple[str, ...]
-    budget: int
+    config: CensusConfig
     per_n: dict[int, dict]
-    totals: dict
-    worker_count: int = 1
-    wall_time_seconds: float = 0.0
+    wall_time_seconds: float
 
     def payload(self) -> dict:
         # wall time and worker count stay out: equal configurations must
         # serialize identically however the work was split
+        config = self.config
         return {
             "version": REPORT_VERSION,
-            "family": self.family,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "checks": list(self.checks),
-            "budget": self.budget,
+            "family": config.family,
+            "n_min": config.n_min,
+            "n_max": config.n_max,
+            "checks": list(config.checks),
+            "budget": config.budget,
             "per_n": {str(n): record for n, record in self.per_n.items()},
             "totals": self.totals,
+        }
+
+    @property
+    def totals(self) -> dict:
+        records = self.per_n.values()
+        return {
+            "graphs_examined": sum(record["graphs_examined"] for record in records),
+            "verdicts": {name: {verdict: sum(record["verdicts"][name][verdict] for record in records)
+                                for verdict in VERDICTS}
+                         for name in self.config.checks},
+            "counterexamples": sum(len(record["counterexamples"]) for record in records),
         }
 
     def to_json(self) -> str:
@@ -478,7 +487,7 @@ def run_census(config: CensusConfig) -> CensusReport:
     sizes = range(config.n_min, config.n_max + 1)
     class_count = tree_class_count if config.family == TREES else connected_class_count
     per_n = {n: {"graphs_examined": 0, "expected_count": class_count(n), "counterexamples": [],
-                 "verdicts": {name: {"pass": 0, "fail": 0, "skip": 0, "na": 0} for name in config.checks}}
+                 "verdicts": {name: dict.fromkeys(VERDICTS, 0) for name in config.checks}}
              for n in sizes}
     task = partial(_census_task, checks=config.checks, budget=config.budget)
     pool = Pool(config.worker_count) if config.worker_count > 1 else None
@@ -502,36 +511,22 @@ def run_census(config: CensusConfig) -> CensusReport:
             for name, verdict in verdicts.items():
                 record["verdicts"][name][verdict] += 1
             record["counterexamples"].extend(examples)
-    finally:
+    except BaseException:
+        # stop the workers at once; a closed pool would still feed them
+        # every task left in the imap
         if pool is not None:
-            pool.close()
+            pool.terminate()
             pool.join()
+        raise
+    if pool is not None:
+        pool.close()
+        pool.join()
     for n, record in per_n.items():
         if record["graphs_examined"] != record["expected_count"]:
             raise InvariantViolation(
                 f"generated {record['graphs_examined']} classes for n={n}, expected {record['expected_count']}")
         record["counterexamples"].sort(key=lambda rec: (rec["graph6"], rec["check"]))
-    totals_verdicts = {
-        name: {verdict: sum(per_n[n]["verdicts"][name][verdict] for n in per_n)
-               for verdict in ("pass", "fail", "skip", "na")}
-        for name in config.checks
-    }
-    totals = {
-        "graphs_examined": sum(per_n[n]["graphs_examined"] for n in per_n),
-        "verdicts": totals_verdicts,
-        "counterexamples": sum(len(per_n[n]["counterexamples"]) for n in per_n),
-    }
-    return CensusReport(
-        family=config.family,
-        n_min=config.n_min,
-        n_max=config.n_max,
-        checks=config.checks,
-        budget=config.budget,
-        per_n=per_n,
-        totals=totals,
-        worker_count=config.worker_count,
-        wall_time_seconds=time.perf_counter() - start,
-    )
+    return CensusReport(config, per_n, time.perf_counter() - start)
 
 
 def _census_task(graph: Graph, checks, budget: int):

@@ -249,27 +249,11 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tupl
     return Graph(len(keep), edges), tuple(keep)
 
 
-def reachable_bits(bits: tuple[int, ...], start: int, within: int) -> int:
-    """Mask of the vertices reachable from the ``start`` mask inside ``within``.
-
-    A breadth-first search on neighbor masks that never leaves ``within``,
-    so leaving a vertex out of ``within`` searches the graph without it.
-    """
-    seen = frontier = start & within
-    while frontier:
-        grown = 0
-        for v in _iter_bits(frontier):
-            grown |= bits[v]
-        frontier = grown & within & ~seen
-        seen |= frontier
-    return seen
-
-
 def is_connected(graph: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (n == 0 counts as connected)."""
     if graph.n == 0:
         return True
-    return reachable_bits(graph.nbr_bits, 1, (1 << graph.n) - 1).bit_count() == graph.n
+    return len(_tree_walk(graph, 0)[0]) == graph.n
 
 
 def is_tree(graph: Graph) -> bool:
@@ -279,15 +263,16 @@ def is_tree(graph: Graph) -> bool:
     return graph.edge_count == graph.n - 1 and is_connected(graph)
 
 
-def _tree_walk(graph: Graph, root: int) -> tuple[list[int], list[int]]:
-    # Breadth-first order from root and each vertex's parent, -1 at the root;
-    # on a tree every neighbor except the parent is a child.
+def _tree_walk(graph: Graph, root: int, within: int = -1) -> tuple[list[int], list[int]]:
+    # Breadth-first order from root and each vertex's parent, -1 at the root,
+    # never leaving the vertex mask ``within``; on a tree every neighbor
+    # except the parent is a child.
     bits = graph.nbr_bits
     parent = [-1] * graph.n
     order = [root]
     seen = 1 << root
     for v in order:
-        kids = bits[v] & ~seen
+        kids = bits[v] & within & ~seen
         seen |= kids
         while kids:
             low = kids & -kids

@@ -4,11 +4,11 @@ Everything here works straight from the definitions with none of the
 package's bitmask machinery, so agreement is meaningful: subset sweeps
 by explicit combinations, domination checked vertex by vertex through
 neighbor lists, matchings found by trying disjoint edge subsets, trees
-enumerated from labeled sequences and deduplicated, colors refined by
-sorting neighbor-color lists, canonical codes minimized over every
-color-respecting ordering. The lemma1 referee
-replays detangle from the definitions, then runs the package's
-``detangle`` and requires the same outcome. Former package routines are
+enumerated from labeled sequences and deduplicated, components found by
+union-find over the edge list, colors refined by sorting neighbor-color
+lists, canonical codes minimized over every color-respecting ordering.
+The lemma1 referee replays detangle from the definitions, then runs
+the package's ``detangle`` and requires the same outcome. Former package routines are
 the exceptions: ``min_edge_covers_per_leaf``, the search
 kernel with one call per search node, kept as the referee for the hit
 order and the node count of the package's kernel;
@@ -405,6 +405,25 @@ def _falling_counts(total: int, slots: int, cap: int):
     for first in range(min(total, cap), -1, -1):
         for rest in _falling_counts(total - first, slots - 1, first):
             yield (first,) + rest
+
+
+def components_union_find(edges, alive) -> set[frozenset[int]]:
+    """Vertex sets of the components of the subgraph induced on the
+    vertices ``alive``, by union-find over ``edges``."""
+    leader = {v: v for v in alive}
+
+    def find(v: int) -> int:
+        while leader[v] != v:
+            v = leader[v]
+        return v
+
+    for u, v in edges:
+        if u in leader and v in leader:
+            leader[find(u)] = find(v)
+    parts: dict[int, set[int]] = {}
+    for v in leader:
+        parts.setdefault(find(v), set()).add(v)
+    return {frozenset(part) for part in parts.values()}
 
 
 def connected_classes_labeled(n: int) -> set[bytes]:

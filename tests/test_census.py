@@ -39,6 +39,7 @@ from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connecte
 
 from .conftest import path_graph, pendant_cycle, spider_222
 from .oracles import (
+    components_union_find,
     connected_classes_labeled,
     cor_general2_blocks,
     cor_general_blocks,
@@ -169,6 +170,19 @@ class TestConnectedGeneration:
         with pytest.raises(CapabilityError):
             next(generate_connected_graphs(1))
 
+    def test_components_against_union_find(self):
+        # every induced subgraph G[alive] of every connected graph, n <= 6
+        cases = 0
+        for n in range(2, 7):
+            for g in generate_connected_graphs(n):
+                for alive in range(1 << n):
+                    parts = census._components(g, alive)
+                    want = components_union_find(g.edges, [v for v in range(n) if alive >> v & 1])
+                    assert len(parts) == len(want)
+                    assert {frozenset(v for v in range(n) if part >> v & 1) for part in parts} == want
+                    cases += 1
+        assert cases == 7956
+
 
 class TestPinnedCodes:
     # report bytes depend on the canonical codes and on the generation
@@ -286,6 +300,15 @@ class TestVerifyGraph:
         with pytest.raises(ValueError):
             verify_graph(path_graph(3), ())
 
+    def test_bare_string_rejected(self):
+        with pytest.raises(ValueError, match="tuple of check names"):
+            verify_graph(path_graph(3), "thm1")
+
+    def test_check_names(self):
+        assert CHECK_NAMES == ("claim", "cor1", "cor_general", "cor_general2", "lemma1", "thm1", "thm2",
+                               "thm2_probe")
+        assert STANDARD_CHECKS == CHECK_NAMES[:-1]
+
 
 def _doctored(sets: tuple) -> list[tuple]:
     # nonempty subfamilies of a family: each one or two of its sets, and all
@@ -385,6 +408,10 @@ class TestCensusConfig:
     def test_worker_bound_inclusive(self):
         cfg = CensusConfig(family="trees", n_min=2, n_max=4, worker_count=WORKER_BOUND)
         assert cfg.worker_count == WORKER_BOUND
+
+    def test_bare_string_checks_rejected(self):
+        with pytest.raises(ValueError, match="tuple of check names"):
+            CensusConfig(family="trees", n_min=2, n_max=4, checks="thm1")
 
     def test_checks_normalized(self):
         cfg = CensusConfig(family="trees", n_min=2, n_max=4,
@@ -518,6 +545,33 @@ class TestRunCensus:
         pooled = run_census(CensusConfig(family="trees", n_min=2, n_max=8, worker_count=3))
         assert calls == [("pool", 3), ("imap", census.CHUNK_SIZE), "close", "join"]
         assert pooled.to_json() == run_census(CensusConfig(family="trees", n_min=2, n_max=8)).to_json()
+
+    def test_failing_pool_is_terminated_not_drained(self, monkeypatch):
+        # a pool whose results fail after the first: the census re-raises and
+        # stops the workers instead of letting them finish the queued tasks
+        calls = []
+
+        class FailingPool:
+            def __init__(self, workers):
+                calls.append(("pool", workers))
+
+            def imap(self, func, iterable, chunksize):
+                yield func(next(iter(iterable)))
+                raise RuntimeError("worker failed")
+
+            def close(self):
+                calls.append("close")
+
+            def terminate(self):
+                calls.append("terminate")
+
+            def join(self):
+                calls.append("join")
+
+        monkeypatch.setattr(census, "Pool", FailingPool)
+        with pytest.raises(RuntimeError, match="^worker failed$"):
+            run_census(CensusConfig(family="trees", n_min=2, n_max=8, worker_count=3))
+        assert calls == [("pool", 3), "terminate", "join"]
 
     def test_connected_pool_codes_each_level_then_checks(self, monkeypatch):
         # every level below n_max is coded in the pool, levels below n_min

@@ -27,7 +27,12 @@ from domicert import (
 from domicert.graphs import EDGE_LIST_VERTEX_BOUND, GENERAL_CANONICAL_BOUND, _refine_colors
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222, star_graph
-from .oracles import has_perfect_matching_naive, min_adjacency_bytes_naive, refine_colors_naive
+from .oracles import (
+    components_union_find,
+    has_perfect_matching_naive,
+    min_adjacency_bytes_naive,
+    refine_colors_naive,
+)
 
 
 def _relabel(graph: Graph, perm) -> Graph:
@@ -271,6 +276,15 @@ class TestConnectivity:
     def test_single_vertex(self):
         g = Graph(1, ())
         assert is_connected(g) and is_tree(g)
+
+    def test_every_labelled_graph_on_six_against_union_find(self):
+        slots = list(combinations(range(6), 2))
+        for mask in range(1 << len(slots)):
+            edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
+            g = Graph(6, edges)
+            connected = len(components_union_find(edges, range(6))) == 1
+            assert is_connected(g) == connected
+            assert is_tree(g) == (connected and len(edges) == 5)
 
 
 class TestPerfectMatching:
