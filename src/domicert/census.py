@@ -30,6 +30,8 @@ Check names:
 from __future__ import annotations
 
 import json
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -490,7 +492,7 @@ def run_census(config: CensusConfig) -> CensusReport:
                  "verdicts": {name: dict.fromkeys(VERDICTS, 0) for name in config.checks}}
              for n in sizes}
     task = partial(_census_task, checks=config.checks, budget=config.budget)
-    pool = Pool(config.worker_count) if config.worker_count > 1 else None
+    pool = _start_pool(config.worker_count) if config.worker_count > 1 else None
     try:
         # one order-preserving mapper for the level pass and the checks
         mapper = map if pool is None else partial(pool.imap, chunksize=CHUNK_SIZE)
@@ -527,6 +529,19 @@ def run_census(config: CensusConfig) -> CensusReport:
                 f"generated {record['graphs_examined']} classes for n={n}, expected {record['expected_count']}")
         record["counterexamples"].sort(key=lambda rec: (rec["graph6"], rec["check"]))
     return CensusReport(config, per_n, time.perf_counter() - start)
+
+
+def _start_pool(worker_count: int):
+    # forked workers keep SIGINT ignored: a Ctrl-C reaches the whole process
+    # group, and only the parent acts on it, by terminating the pool.
+    # signal.signal works only in the main thread.
+    if threading.current_thread() is not threading.main_thread():
+        return Pool(worker_count)
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        return Pool(worker_count)
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 def _census_task(graph: Graph, checks, budget: int):

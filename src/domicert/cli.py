@@ -2,15 +2,18 @@
 
 Exit codes: 0 success (and passing checks), 1 a check failed or a
 counterexample was found, 2 usage or input error, 3 capability or
-budget exceeded. Standard output is deterministic for identical
-invocations; timing goes to stderr.
+budget exceeded, 130 interrupted. Standard output is deterministic for
+identical invocations; timing goes to stderr. ``main`` may be called
+repeatedly in one process; its parser is built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
+from functools import cache
 
 from .census import (
     CONNECTED,
@@ -35,9 +38,8 @@ BUDGET_ENV = "DOMICERT_BUDGET"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -53,8 +55,12 @@ def main(argv=None) -> int:
     except DomicertError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domicert",
@@ -255,6 +261,8 @@ def _cmd_census(args, budget: int) -> int:
         worker_count=args.workers,
         budget=budget,
     )
+    if args.out:
+        _check_report_path(args.out)
     report = run_census(config)
     print(f"family={args.family} n={config.n_min}..{config.n_max} checks={','.join(config.checks)}")
     for n in sorted(report.per_n):
@@ -274,6 +282,18 @@ def _cmd_census(args, budget: int) -> int:
     if report.skip_count:
         return 3
     return 0
+
+
+def _check_report_path(path: str) -> None:
+    # fail before the census rather than after it, and leave an existing
+    # report as it is until the new one is written
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _cmd_verify_figure1(args, budget: int) -> int:

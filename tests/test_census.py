@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import signal
+import threading
 from collections import Counter
 from functools import partial
 from itertools import combinations
@@ -545,6 +547,37 @@ class TestRunCensus:
         pooled = run_census(CensusConfig(family="trees", n_min=2, n_max=8, worker_count=3))
         assert calls == [("pool", 3), ("imap", census.CHUNK_SIZE), "close", "join"]
         assert pooled.to_json() == run_census(CensusConfig(family="trees", n_min=2, n_max=8)).to_json()
+
+    def test_pool_starts_with_sigint_ignored(self, monkeypatch):
+        # forked workers inherit the ignored SIGINT, and the parent gets its
+        # handler back; in another thread, where signal.signal raises, the
+        # pool starts as it is
+        seen = []
+
+        class SerialPool:
+            def __init__(self, workers):
+                seen.append(signal.getsignal(signal.SIGINT))
+
+            def imap(self, func, iterable, chunksize):
+                return map(func, iterable)
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(census, "Pool", SerialPool)
+        handler = signal.getsignal(signal.SIGINT)
+        config = CensusConfig(family="trees", n_min=2, n_max=6, worker_count=2)
+        examined = [run_census(config).totals["graphs_examined"]]
+        thread = threading.Thread(target=lambda: examined.append(run_census(config).totals["graphs_examined"]))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen == [signal.SIG_IGN, handler]
+        assert signal.getsignal(signal.SIGINT) is handler
+        assert examined == [13, 13]
 
     def test_failing_pool_is_terminated_not_drained(self, monkeypatch):
         # a pool whose results fail after the first: the census re-raises and

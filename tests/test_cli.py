@@ -1,19 +1,37 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from domicert import Graph, census, cli, domination, emit_graph6
+from domicert.census import run_census
 from domicert.cli import main
 
 from .conftest import PENDANT_CYCLE_TEXT, SPIDER_TEXT, pendant_cycle
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*args, **popen_kwargs) -> subprocess.Popen:
+    # a fresh interpreter that imports the package from this source tree,
+    # with help text wrapped at 80 columns
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, **popen_kwargs)
 
 
 class TestSolve:
@@ -276,6 +294,61 @@ class TestCensusCommand:
                              "--n-min", "2", "--n-max", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_report_fails_before_census(self, capsys, monkeypatch, tmp_path, target):
+        def no_census(config):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(cli, "run_census", no_census)
+        out_path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, "census", "--family", "trees",
+                                 "--n-min", "2", "--n-max", "3", "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f"{out_path!r}\n")
+
+    def test_existing_report_kept_until_written(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "report.json"
+        out_path.write_text("old\n", encoding="utf-8")
+        seen = []
+
+        def recording(config):
+            seen.append(out_path.read_text(encoding="utf-8"))
+            return run_census(config)
+
+        monkeypatch.setattr(cli, "run_census", recording)
+        code, _, _ = run_cli(capsys, "census", "--family", "trees",
+                             "--n-min", "2", "--n-max", "5", "--out", str(out_path))
+        assert code == 0
+        assert seen == ["old\n"]
+        assert json.loads(out_path.read_text())["totals"]["graphs_examined"] == 7
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_ctrl_c_stops_census_and_workers(self):
+        # SIGINT goes to the whole process group, as a terminal's Ctrl-C does
+        proc = python("-m", "domicert.cli", "census", "--family", "trees", "--n-min", "2",
+                      "--n-max", "15", "--workers", "2", start_new_session=True)
+        try:
+            time.sleep(1)
+            assert proc.poll() is None, "the census ended before it was interrupted"
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a census worker outlived the run"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate(timeout=10)
+
     def test_workers_above_bound_exit_two(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
@@ -286,6 +359,56 @@ class TestCensusCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: need 1 to {census.WORKER_BOUND} workers, got {census.WORKER_BOUND + 1}\n"
+
+
+class TestParserReuse:
+    CALLS = [
+        ("--help",), ("solve", "--kind", "ev", "{cycle}"), ("bogus",), ("enumerate", "--help"),
+        ("unique", "--kind", "pr", "{cycle}"), ("solve",), ("census", "--help"),
+        ("detangle", "{spider}"), ("twin", "{spider}", "--e1", "0,1"), ("--help",),
+    ]
+
+    @pytest.fixture
+    def calls(self, tmp_graph_file):
+        paths = {"cycle": tmp_graph_file(PENDANT_CYCLE_TEXT),
+                 "spider": tmp_graph_file(SPIDER_TEXT, "spider.edges")}
+        return [[arg.format(**paths) for arg in call] for call in self.CALLS]
+
+    def test_interleaved_calls_match_fresh_processes(self, capsys, monkeypatch, calls):
+        # usage errors, help and commands in one process print what each
+        # prints alone in a process of its own
+        monkeypatch.setenv("COLUMNS", "80")
+        procs = [python("-m", "domicert.cli", *call) for call in calls]
+        alone = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=60)
+            alone.append((proc.returncode, out, err))
+        together = [run_cli(capsys, *call) for call in calls]
+        assert together == alone
+        assert {code for code, _, _ in alone} == {0, 2}
+
+    def test_parser_built_on_first_call_only(self, calls):
+        script = "\n".join([
+            "import argparse, contextlib, io, json, sys",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "import domicert.cli",
+            "on_import = len(built)",
+            "calls = json.loads(sys.argv[1])",
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+            "    for i in range(20):",
+            "        domicert.cli.main(calls[i % len(calls)])",
+            "print(on_import, len(built))",
+        ])
+        proc = python("-c", script, json.dumps(calls))
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+        # nothing on import, then one parser and one subparser per command
+        assert out.split() == ["0", "9"]
 
 
 class TestVerifyFigure1:
