@@ -44,7 +44,6 @@ from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
 from .graphs import (
     Graph,
     _from_nbr_bits,
-    _general_code,
     _tree_walk,
     _twin_pairs,
     canonical_code,
@@ -212,8 +211,8 @@ def _levels_to_graph(levels) -> Graph:
 #   with an isomorphic child, which the first rule, being invariant under
 #   automorphisms, keeps too.
 #
-# Codes of the survivors come from their neighbour masks; each child is a
-# Graph built on those masks, which are not checked again.
+# Each survivor is coded by ``canonical_code``, on a Graph built on its
+# neighbour masks, which are not checked again.
 # Each parent's children are coded on their own (``_child_codes``), so a
 # pool can code a level's parents in parallel.
 
@@ -249,7 +248,6 @@ def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
     newcomer = g.n
     full = (1 << newcomer) - 1
     bits = g.nbr_bits
-    tree = g.edge_count == newcomer - 1
     twins = [(1 << x | 1 << y, 1 << y) for x, y in _twin_pairs(bits)]
     degree = [b.bit_count() for b in bits]
     parts = [_components(g, full ^ 1 << x) for x in range(newcomer)]
@@ -261,9 +259,7 @@ def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
         if any(degree[x] + (mask >> x & 1) > k and all(c & mask for c in parts[x])
                for x in range(newcomer)):
             continue
-        child = _attach(g, mask)
-        code = canonical_code(child) if tree and k == 1 else _general_code(newcomer + 1, child.nbr_bits)
-        found.setdefault(code, mask)
+        found.setdefault(canonical_code(_attach(g, mask)), mask)
     return list(found.items())
 
 
@@ -348,24 +344,22 @@ def _check_claim(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
 
 def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
     minimum = set(ev.sets)
-    for m in ev.sets:
-        if _sharing_pairs(m) == 0:
-            continue
-        if not _detangles_cleanly(graph, minimum, m):
-            return False
-    return True
+    return all(_detangles_cleanly(graph, minimum, m) for m in ev.sets)
 
 
 def _detangles_cleanly(graph: Graph, minimum: set, members) -> bool:
     # one detangle pass, each recorded step held to the script: both
     # rewrites are distinct minimum sets (members of ``minimum``, the
     # family's sorted edge tuples) with equally many sharing pairs,
-    # strictly fewer than before the step
+    # strictly fewer than before the step; a set without a sharing pair
+    # has nothing to detangle
+    before = _sharing_pairs(members)
+    if before == 0:
+        return True
     try:
         result = detangle(graph, members)
     except (NotMinimumWitness, InvariantViolation):
         return False
-    before = _sharing_pairs(members)
     for left, right in result.branches:
         after = _sharing_pairs(left)
         if after != _sharing_pairs(right) or after >= before:

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success (and passing checks), 1 a check failed or a
 counterexample was found, 2 usage or input error, 3 capability or
-budget exceeded, 130 interrupted. Standard output is deterministic for
-identical invocations; timing goes to stderr. ``main`` may be called
-repeatedly in one process; its parser is built on the first call.
+budget exceeded, 130 interrupted, 141 standard output closed by its
+reader (as in ``domicert enumerate ... | head``). Standard output is
+deterministic for identical invocations; timing goes to stderr.
+``main`` may be called repeatedly in one process; its parser is built on
+the first call.
 """
 
 from __future__ import annotations
@@ -45,10 +47,21 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         budget = _budget_from_env()
-        return args.run(args, budget)
+        code = args.run(args, budget)
+        # a closed stdout fails here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # 128 + SIGPIPE; the real stdout is pointed at devnull so that the
+        # interpreter's last flush of it cannot fail again
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     except (GraphParseError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -76,17 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="input format (default: edge list)")
         return p
 
-    p = graph_command("solve", "minimum set size and family size")
-    p.add_argument("--kind", choices=("ev", "pr"), required=True)
-    p.set_defaults(run=_cmd_family)
-
-    p = graph_command("enumerate", "list every minimum set")
-    p.add_argument("--kind", choices=("ev", "pr"), required=True)
-    p.set_defaults(run=_cmd_family)
-
-    p = graph_command("unique", "uniqueness verdict for the minimum family")
-    p.add_argument("--kind", choices=("ev", "pr"), required=True)
-    p.set_defaults(run=_cmd_unique)
+    for name, help_text, run in (("solve", "minimum set size and family size", _cmd_family),
+                                 ("enumerate", "list every minimum set", _cmd_family),
+                                 ("unique", "uniqueness verdict for the minimum family", _cmd_unique)):
+        p = graph_command(name, help_text)
+        p.add_argument("--kind", choices=("ev", "pr"), required=True)
+        p.set_defaults(run=run)
 
     p = graph_command("span", "vertex spans of the minimum ev-sets")
     p.set_defaults(run=_cmd_span)
@@ -193,15 +201,12 @@ def _cmd_unique(args, budget: int) -> int:
 
 
 def _cmd_span(args, budget: int) -> int:
-    family = solve_ev(_load_graph(args), budget)
-    print(_family_line(family))
-    spans = set()
-    for members in family.sets:
-        span = spanned_vertices(members)
-        spans.add(span)
-        print(f"{_fmt_edge_set(members)} spans {_fmt_vertex_set(span)}")
-    if len(spans) == 1:
-        print(f"common span: {_fmt_vertex_set(next(iter(spans)))}")
+    verdict = uniqueness(_load_graph(args), "ev", budget)
+    print(_family_line(verdict.family))
+    for members in verdict.family.sets:
+        print(f"{_fmt_edge_set(members)} spans {_fmt_vertex_set(spanned_vertices(members))}")
+    if verdict.common_span is not None:
+        print(f"common span: {_fmt_vertex_set(verdict.common_span)}")
     else:
         print("spans differ")
     return 0

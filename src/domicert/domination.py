@@ -53,10 +53,7 @@ class MinSetFamily:
 
     def contains(self, members) -> bool:
         """Membership test that normalizes the candidate's ordering first."""
-        if self.kind == "ev":
-            probe = tuple(sorted(normalize_edge(u, v) for u, v in members))
-        else:
-            probe = tuple(sorted(members))
+        probe = _normalized(members) if self.kind == "ev" else tuple(sorted(members))
         return probe in self.sets
 
 
@@ -80,10 +77,7 @@ def ev_dominates(graph: Graph, edge: Edge, vertex: int) -> bool:
     """True when the edge is incident to the vertex or to one of its neighbors."""
     u, v = edge
     _require_edge(graph, edge)
-    if not 0 <= vertex < graph.n:
-        raise ValueError(f"vertex {vertex} out of range")
-    reach = graph.closed_nbr_bits(vertex)
-    return bool(reach >> u & 1 or reach >> v & 1)
+    return bool(_vertex_mask(graph, (vertex,)) & (graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v)))
 
 
 def is_ev_dominating_set(graph: Graph, edges) -> bool:
@@ -286,6 +280,10 @@ def _require_solvable(graph: Graph) -> None:
     for v in range(graph.n):
         if not graph.nbr_bits[v]:
             raise DomainError(f"vertex {v} is isolated")
+
+
+def _normalized(edges) -> tuple[Edge, ...]:
+    return tuple(sorted(normalize_edge(u, v) for u, v in edges))
 
 
 def _require_edge(graph: Graph, edge: Edge) -> None:

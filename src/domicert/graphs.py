@@ -15,8 +15,10 @@ from collections.abc import Iterable, Iterator
 
 from .errors import CapabilityError, GraphParseError
 
-# Only has_perfect_matching is capped: its search memoizes the vertex
-# remainders that have no perfect matching, which can grow exponentially.
+# Only has_perfect_matching is capped. Its search memoizes the vertex
+# remainders that have no perfect matching, which can grow exponentially;
+# perfect_matchings_within and is_paired_dominating_set run that same
+# search without the cap.
 MATCHING_VERTEX_BOUND = 24
 
 # Edge-list headers above this vertex count are refused before anything is
@@ -240,13 +242,10 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tupl
     Returns the new graph together with the index mapping: entry i of the
     mapping is the original id of new vertex i.
     """
-    keep = sorted(set(vertices))
-    for v in keep:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
+    keep = tuple(_iter_bits(_vertex_mask(graph, vertices)))
     back = {old: new for new, old in enumerate(keep)}
     edges = [(back[u], back[v]) for u, v in graph.edges if u in back and v in back]
-    return Graph(len(keep), edges), tuple(keep)
+    return Graph(len(keep), edges), keep
 
 
 def is_connected(graph: Graph) -> bool:
@@ -364,12 +363,7 @@ def canonical_code(graph: Graph) -> bytes:
         return b"T" + _tree_code(graph)
     if graph.n > GENERAL_CANONICAL_BOUND:
         raise CapabilityError(f"canonical code for non-trees supports n <= {GENERAL_CANONICAL_BOUND}, got {graph.n}")
-    return _general_code(graph.n, graph.nbr_bits)
-
-
-def _general_code(n: int, bits: tuple[int, ...]) -> bytes:
-    # canonical_code of a non-tree, straight from its neighbor masks
-    return b"G" + bytes([n]) + _min_adjacency_bytes(n, bits)
+    return b"G" + bytes([graph.n]) + _min_adjacency_bytes(graph.n, graph.nbr_bits)
 
 
 def _tree_code(graph: Graph) -> bytes:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .domination import Edge, _require_edge
+from .domination import Edge, _normalized, _require_edge
 from .errors import InvariantViolation, NotMinimumWitness
 from .graphs import Graph, normalize_edge
 
@@ -107,10 +107,11 @@ def detangle(graph: Graph, edges) -> DetangleResult:
     hitting the cap means the caller's inputs were inconsistent.
     """
     members = _normalized(edges)
-    if sharing_pairs(members) == 0:
+    pair = _first_sharing_pair(members)
+    if pair is None:
         raise ValueError("the set has no sharing pair to rewrite")
     # a repeated member can only be the first pair: each step drops repeats
-    if len(set(_first_sharing_pair(members))) == 1:
+    if pair[0] == pair[1]:
         raise ValueError("need two distinct edges")
     for member in members:
         _require_edge(graph, member)
@@ -118,12 +119,13 @@ def detangle(graph: Graph, edges) -> DetangleResult:
     current = members
     trace: list[TwinningStep] = []
     branches: list[tuple[tuple[Edge, ...], tuple[Edge, ...]]] = []
-    while (pair := _first_sharing_pair(current)) is not None:
+    while pair is not None:
         if len(trace) == cap:
             raise InvariantViolation(f"detangle exceeded {cap} iterations")
         current, right, left_step, _ = _twin(graph, current, *pair)
         trace.append(left_step)
         branches.append((current, right))
+        pair = _first_sharing_pair(current)
     return DetangleResult(left=current, right=right, trace=tuple(trace),
                           iterations=len(trace), branches=tuple(branches))
 
@@ -190,7 +192,3 @@ def _first_sharing_pair(members) -> tuple[Edge, Edge] | None:
         if a[0] in b or a[1] in b:
             return a, b
     return None
-
-
-def _normalized(edges) -> tuple[Edge, ...]:
-    return tuple(sorted(normalize_edge(u, v) for u, v in edges))

@@ -379,6 +379,13 @@ class TestLemma1Failures:
         monkeypatch.setattr(census, "detangle", lambda g, m: forged)
         assert census._detangles_cleanly(graph, minimum, members) is False
 
+    def test_sharing_free_set_has_nothing_to_detangle(self):
+        graph = spider_222()
+        minimum = set(solve_ev(graph).sets)
+        members = ((0, 3), (1, 2), (5, 6))
+        assert members in minimum
+        assert census._detangles_cleanly(graph, minimum, members) is True
+
     def test_non_minimum_set_is_rejected_through_witness(self):
         # {(0,1), (1,2)} dominates P4 but has no private vertex at 0
         graph = path_graph(4)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import io
 import json
 import os
 import signal
@@ -409,6 +411,35 @@ class TestParserReuse:
         assert (proc.returncode, err) == (0, "")
         # nothing on import, then one parser and one subparser per command
         assert out.split() == ["0", "9"]
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("leaves", [4000, 1])
+    def test_closed_stdout_exits_141_silently(self, tmp_graph_file, leaves):
+        # K2,4000 has 8000 minimum ev-sets, more output than a pipe holds;
+        # K2,1 prints less than the stdout buffer, so only a flush meets the pipe
+        edges = "".join(f"{u} {v}\n" for u in (0, 1) for v in range(2, leaves + 2))
+        path = tmp_graph_file(f"{leaves + 2} {2 * leaves}\n{edges}")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader, as once `| head -1` has exited
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "domicert.cli", "enumerate", "--kind", "ev", path],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_replaced_stdout_leaves_fd_one_alone(self, monkeypatch, tmp_graph_file):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        fd_one = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["solve", "--kind", "ev", tmp_graph_file(SPIDER_TEXT)]) == 141
+        assert os.path.samestat(os.fstat(1), fd_one)
 
 
 class TestVerifyFigure1:

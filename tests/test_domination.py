@@ -49,6 +49,11 @@ class TestPredicates:
         with pytest.raises(ValueError):
             ev_dominates(path_graph(4), (0, 2), 1)
 
+    @pytest.mark.parametrize("vertex", [9, -1])
+    def test_ev_dominates_rejects_vertex_out_of_range(self, vertex):
+        with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+            ev_dominates(path_graph(4), (0, 1), vertex)
+
     def test_ev_dominating_set(self):
         g = pendant_cycle()
         assert is_ev_dominating_set(g, [(0, 1), (2, 3)])

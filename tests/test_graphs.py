@@ -255,6 +255,15 @@ class TestInducedSubgraph:
         sub, mapping = induced_subgraph(path_graph(4), [])
         assert (sub.n, mapping) == (0, ())
 
+    def test_vertices_validated_in_input_order(self):
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="vertex 4 out of range"):
+            induced_subgraph(g, [0, g.n])
+        with pytest.raises(ValueError, match="vertex 6 out of range"):
+            induced_subgraph(g, [6, 5])
+        with pytest.raises(TypeError):
+            induced_subgraph(g, [1.5])
+
 
 class TestConnectivity:
     def test_path_connected_tree(self):

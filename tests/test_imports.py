@@ -1,0 +1,46 @@
+"""Import hygiene: every package module uses each name it imports, and
+every name the package exports resolves."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import domicert
+
+PACKAGE = Path(domicert.__file__).resolve().parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    # names bound by an import statement that no Name node reads; an
+    # attribute chain such as ``os.path`` reads its root ``os``
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_modules_use_what_they_import():
+    # __init__.py imports names only to export them
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def test_unused_import_is_reported(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import os\nimport os.path as osp\nfrom .graphs import Graph, _general_code\n\n"
+                    "def f(g: Graph):\n    return osp.join(os.sep)\n", encoding="utf-8")
+    assert _unused_imports(path) == ["module.py:3 _general_code"]
+
+
+def test_exported_names_resolve():
+    assert len(set(domicert.__all__)) == len(domicert.__all__)
+    assert [name for name in domicert.__all__ if not hasattr(domicert, name)] == []

@@ -157,6 +157,10 @@ class TestDetangle:
         with pytest.raises(ValueError):
             detangle(pendant_cycle(), [(0, 1), (2, 3)])
 
+    def test_repeated_member_is_not_a_sharing_pair(self):
+        with pytest.raises(ValueError, match="need two distinct edges"):
+            detangle(spider_222(), [(0, 1), (1, 0)])
+
     def test_checks_in_twinning_order(self):
         g = spider_222()
         # a repeated member as the first sharing pair, then a non-edge (2, 5)
