@@ -23,8 +23,9 @@ Check names:
                     ev-sets span one common vertex set (the paired set)
 * ``claim``         no three edges of a minimum ev-set form a path on four
                     vertices or a triangle
-* ``lemma1``        every minimum ev-set with a sharing pair detangles,
-                    step invariants included
+* ``lemma1``        every minimum ev-set with a sharing pair twins into two
+                    distinct minimum ev-sets with fewer sharing pairs, whose
+                    spans differ once no pair is left
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .graphs import (
     parse_edge_list,
     perfect_matchings_within,
 )
-from .twinning import _claim_holds, _sharing_pairs, detangle
+from .twinning import _claim_holds, _first_sharing_pair, _sharing_pairs, _twin
 
 TREES = "trees"
 CONNECTED = "connected_graphs"
@@ -287,26 +288,7 @@ def verify_graph(graph: Graph, checks, budget: int = DEFAULT_BUDGET) -> dict[str
     A budget overrun skips every requested check for the graph; checks
     that only claim something about trees come back na on non-trees.
     """
-    return _verify_with_families(graph, _validated_checks(checks), budget)[0]
-
-
-def _verify_with_families(graph: Graph, checks, budget: int):
-    # verify_graph's verdicts plus the ev and paired families they were
-    # read from (both None when the budget ran out); ``checks`` are names
-    # that _validated_checks has already passed
-    try:
-        ev, pr = solve_families(graph, budget)
-    except CapabilityError:
-        return {name: "skip" for name in checks}, None, None
-    tree = is_tree(graph)
-    out: dict[str, str] = {}
-    for name in checks:
-        if name in ("thm2", "cor_general") and not tree:
-            out[name] = "na"
-            continue
-        holds = _CHECK_TABLE[name](graph, ev, pr)
-        out[name] = "pass" if holds else "fail"
-    return out, ev, pr
+    return _census_task(graph, _validated_checks(checks), budget)[1]
 
 
 def _check_thm1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
@@ -348,30 +330,27 @@ def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
 
 
 def _detangles_cleanly(graph: Graph, minimum: set, members) -> bool:
-    # one detangle pass, each recorded step held to the script: both
-    # rewrites are distinct minimum sets (members of ``minimum``, the
-    # family's sorted edge tuples) with equally many sharing pairs,
-    # strictly fewer than before the step; a set without a sharing pair
-    # has nothing to detangle
-    before = _sharing_pairs(members)
-    if before == 0:
+    # the one twinning step that detangle takes on members: both rewrites
+    # are distinct members of ``minimum`` (the family's sorted edge tuples)
+    # with equally many sharing pairs, strictly fewer than before, and two
+    # sharing-free rewrites keep |members| edges and span different vertex
+    # sets. Each left rewrite is a member checked in its own turn, so over
+    # the family this checks every step of every detangle chain; a set
+    # without a sharing pair has nothing to detangle
+    pair = _first_sharing_pair(members)
+    if pair is None:
         return True
     try:
-        result = detangle(graph, members)
-    except (NotMinimumWitness, InvariantViolation):
+        left, right, _, _ = _twin(graph, members, *pair)
+    except NotMinimumWitness:
         return False
-    for left, right in result.branches:
-        after = _sharing_pairs(left)
-        if after != _sharing_pairs(right) or after >= before:
-            return False
-        if left == right or left not in minimum or right not in minimum:
-            return False
-        before = after
-    return (
-        before == 0
-        and len(result.left) == len(members) == len(result.right)
-        and spanned_vertices(result.left) != spanned_vertices(result.right)
-    )
+    after = _sharing_pairs(left)
+    if after != _sharing_pairs(right) or after >= _sharing_pairs(members):
+        return False
+    if left == right or left not in minimum or right not in minimum:
+        return False
+    return after > 0 or (len(left) == len(members) == len(right)
+                         and spanned_vertices(left) != spanned_vertices(right))
 
 
 _CHECK_TABLE = {
@@ -539,16 +518,30 @@ def _start_pool(worker_count: int):
 
 
 def _census_task(graph: Graph, checks, budget: int):
-    # (n, verdicts, counterexample records) of one graph
-    verdicts, ev, pr = _verify_with_families(graph, checks, budget)
-    examples = [{
-        "graph6": emit_graph6(graph),
-        "check": name,
-        "gamma_ev": ev.gamma,
-        "ev_sets": [[list(e) for e in m] for m in ev.sets],
-        "gamma_pr": pr.gamma,
-        "pr_sets": [list(d) for d in pr.sets],
-    } for name in sorted(verdicts) if verdicts[name] == "fail"]
+    # (n, verdicts, counterexample records) of one graph; ``checks`` are
+    # names that _validated_checks has already passed
+    try:
+        ev, pr = solve_families(graph, budget)
+    except CapabilityError:
+        return graph.n, dict.fromkeys(checks, "skip"), []
+    tree = is_tree(graph)
+    verdicts: dict[str, str] = {}
+    examples = []
+    for name in checks:
+        if name in ("thm2", "cor_general") and not tree:
+            verdicts[name] = "na"
+        elif _CHECK_TABLE[name](graph, ev, pr):
+            verdicts[name] = "pass"
+        else:
+            verdicts[name] = "fail"
+            examples.append({
+                "graph6": emit_graph6(graph),
+                "check": name,
+                "gamma_ev": ev.gamma,
+                "ev_sets": [[list(e) for e in m] for m in ev.sets],
+                "gamma_pr": pr.gamma,
+                "pr_sets": [list(d) for d in pr.sets],
+            })
     return graph.n, verdicts, examples
 
 

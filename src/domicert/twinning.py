@@ -35,17 +35,15 @@ class DetangleResult:
 
     ``left`` is the fixed point of always rewriting the first branch,
     ``right`` the second branch produced on the final iteration, and
-    ``trace`` lists the left-branch steps in order. ``branches`` holds
-    the (left, right) pair of sets that each step produced, in step
-    order: every left set is the input of the next step, and the last
-    pair is (``left``, ``right``).
+    ``trace`` lists the left-branch steps in order: replaying them on
+    the input set, each swapping its replaced edge for its inserted
+    edge, passes through every left set and ends at ``left``.
     """
 
     left: tuple[Edge, ...]
     right: tuple[Edge, ...]
     trace: tuple[TwinningStep, ...]
     iterations: int
-    branches: tuple[tuple[tuple[Edge, ...], tuple[Edge, ...]], ...]
 
 
 def sharing_pairs(edges) -> int:
@@ -118,16 +116,13 @@ def detangle(graph: Graph, edges) -> DetangleResult:
     cap = len(members) ** 2
     current = members
     trace: list[TwinningStep] = []
-    branches: list[tuple[tuple[Edge, ...], tuple[Edge, ...]]] = []
     while pair is not None:
         if len(trace) == cap:
             raise InvariantViolation(f"detangle exceeded {cap} iterations")
         current, right, left_step, _ = _twin(graph, current, *pair)
         trace.append(left_step)
-        branches.append((current, right))
         pair = _first_sharing_pair(current)
-    return DetangleResult(left=current, right=right, trace=tuple(trace),
-                          iterations=len(trace), branches=tuple(branches))
+    return DetangleResult(left=current, right=right, trace=tuple(trace), iterations=len(trace))
 
 
 # The private cores take members as distinct normalized edges; the last

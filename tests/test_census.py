@@ -349,6 +349,20 @@ class TestCorollaryChecks:
         assert census._check_cor_general2(k4, ev, pr)
 
 
+# The spider's star set twins into two sets with one sharing pair each. A
+# tree has one perfect matching per span, and the spider one star of three
+# members, so the forged steps that need a second three-pair member, or a
+# second sharing-free member spanning {0, 1, 2, 3, 5, 6}, add these
+# stand-ins to the family.
+STAR = ((0, 1), (0, 3), (0, 5))
+THREE_PAIRS = ((0, 1), (0, 3), (1, 3))
+SAME_SPAN = ((0, 1), (2, 3), (5, 6))
+
+
+def _no_private_vertex(left, right):
+    raise NotMinimumWitness("forged: no private vertex")
+
+
 class TestLemma1Failures:
     def test_family_missing_a_branch_fails(self, monkeypatch):
         # the spider's set {(0,1), (0,3), (5,6)} twins into {(0,3), (1,2), (5,6)}
@@ -364,20 +378,20 @@ class TestLemma1Failures:
         assert verify_graph(graph, ("lemma1",)) == {"lemma1": "fail"}
 
     @pytest.mark.parametrize("mangle", [
-        lambda b1, b2: (b1, b1, b2),                  # a step keeps its sharing pairs
-        lambda b1, b2: ((b1[0], b1[0]), b2),          # both branches are one set
-        lambda b1, b2: ((b1[0], b2[1]), b2),          # branches differ in sharing pairs
-        lambda b1, b2: (b1,),                         # the last set still shares
+        lambda left, right: (STAR, THREE_PAIRS),                    # no fewer sharing pairs than before
+        lambda left, right: (left, left),                           # both rewrites are one set
+        lambda left, right: (left, ((0, 1), (3, 4), (5, 6))),       # the rewrites differ in sharing pairs
+        lambda left, right: (left, ((0, 1), (1, 2), (3, 4))),       # a rewrite misses vertex 6: no member
+        lambda left, right: (((0, 3), (1, 2), (5, 6)), SAME_SPAN),  # sharing-free rewrites with one span
+        _no_private_vertex,
     ])
     def test_each_step_invariant_is_checked(self, monkeypatch, mangle):
         graph = spider_222()
-        minimum = set(solve_ev(graph).sets)
-        members = ((0, 1), (0, 3), (0, 5))
-        genuine = detangle(graph, members)
-        assert census._detangles_cleanly(graph, minimum, members) is True
-        forged = dataclasses.replace(genuine, branches=mangle(*genuine.branches))
-        monkeypatch.setattr(census, "detangle", lambda g, m: forged)
-        assert census._detangles_cleanly(graph, minimum, members) is False
+        minimum = set(solve_ev(graph).sets) | {THREE_PAIRS, SAME_SPAN}
+        assert census._detangles_cleanly(graph, minimum, STAR) is True
+        twin = census._twin
+        monkeypatch.setattr(census, "_twin", lambda g, m, e1, e2: (*mangle(*twin(g, m, e1, e2)[:2]), None, None))
+        assert census._detangles_cleanly(graph, minimum, STAR) is False
 
     def test_sharing_free_set_has_nothing_to_detangle(self):
         graph = spider_222()
@@ -508,7 +522,7 @@ class TestRunCensus:
 
     def test_each_graph_verified_before_the_next_is_generated(self, monkeypatch):
         events = []
-        generate, verify = census.generate_trees, census._verify_with_families
+        generate, verify = census.generate_trees, census._census_task
 
         def recording_generate(n):
             for graph in generate(n):
@@ -520,7 +534,7 @@ class TestRunCensus:
             return verify(graph, checks, budget)
 
         monkeypatch.setattr(census, "generate_trees", recording_generate)
-        monkeypatch.setattr(census, "_verify_with_families", recording_verify)
+        monkeypatch.setattr(census, "_census_task", recording_verify)
         run_census(CensusConfig(family="trees", n_min=4, n_max=6, worker_count=1))
         labels = [emit_graph6(g) for n in range(4, 7) for g in generate(n)]
         assert events == [(event, label) for label in labels for event in ("yield", "verify")]

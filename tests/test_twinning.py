@@ -151,7 +151,6 @@ class TestDetangle:
         assert result.iterations == 1
         assert len(result.trace) == 1
         assert result.trace[0].replaced_edge == (0, 1)
-        assert result.branches == ((result.left, result.right),)
 
     def test_rejects_sharing_free_input(self):
         with pytest.raises(ValueError):
@@ -184,11 +183,14 @@ class TestDetangle:
                     assert sharing_pairs(result.left) == 0
                     assert sharing_pairs(result.right) == 0
                     assert result.iterations <= len(members) ** 2
-                    assert len(result.trace) == len(result.branches) == result.iterations
-                    assert result.branches[-1] == (result.left, result.right)
-                    for step, (left, right) in zip(result.trace, result.branches):
-                        assert step.inserted_edge in left and step.replaced_edge not in left
-                        assert family.contains(left) and family.contains(right)
+                    assert len(result.trace) == result.iterations
+                    # replaying the trace passes through minimum sets only
+                    current = set(members)
+                    for step in result.trace:
+                        assert step.replaced_edge in current and step.inserted_edge not in current
+                        current = current - {step.replaced_edge} | {step.inserted_edge}
+                        assert family.contains(tuple(sorted(current)))
+                    assert tuple(sorted(current)) == result.left
                     assert is_ev_dominating_set(g, result.left)
                     assert is_ev_dominating_set(g, result.right)
                     assert family.contains(result.left)
