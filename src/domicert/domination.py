@@ -19,10 +19,16 @@ differ from 2 * gamma_ev) does it run the paired search too, so its
 answer is exact without assuming that identity. Each hit carries the
 bitmask of the vertices its edges span: a hit of k edges is a matching
 exactly when 2k bits are set, and the distinct masks are the paired
-sets. Search nodes are counted against a budget so a runaway search
-surfaces as CapabilityError instead of a silent hang; the last edge of a
-choice is tried in a loop, not a call, and each edge tried there still
-counts as one node.
+sets.
+
+The search answers one edge from the edges that cover every vertex. For
+more edges it branches on the uncovered vertex that the fewest allowed
+edges cover. The paired search branches on the same vertex and only
+skips more edges, so up to the ev search's size it visits a subset of
+the ev search's nodes. Search nodes are counted against a budget so a
+runaway search surfaces as CapabilityError instead of a silent hang: the
+one-edge answer is one node, and so is the empty choice at each larger
+size and each edge added to a choice.
 """
 
 from __future__ import annotations
@@ -214,59 +220,96 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
     # each an (edge list, span bitmask) pair: a maximal matching has at
     # most n // 2 edges and its span dominates a graph without isolated
-    # vertices. Each k is a depth-first search that passes the still
-    # uncovered vertices down; edges come sorted by shrinking coverage, so
-    # one suffix test bounds the remaining range. The matching search skips
-    # an edge meeting the used endpoints. Each search node spends one unit
-    # of the budget; the last edge is tried in a loop, not a call, and each
-    # edge tried there spends one unit (the bound and the skip spend none).
-    # Up to the ev search's last size the matching search visits a subset
-    # of its nodes (the same bounds, plus the skip), so a finished ev
-    # search whose hits include a matching also certifies the matching
-    # search's budget: solve_families runs out exactly when solve_ev or
-    # solve_pr would.
+    # vertices. k = 1 is the prefix of edges that cover every vertex, read
+    # before anything else is built. For larger k, a depth-first search
+    # passes the allowed edges (a bitmask over edge indices) and the still
+    # uncovered vertices down, and branches on the uncovered vertex with
+    # the fewest allowed options, the edges whose coverage holds it, as
+    # exact set-cover solvers pick the element with the fewest options
+    # (Knuth, "Dancing links", 2000). Each tried edge leaves the allowed
+    # mask of its later siblings, so each set is found once. In the last
+    # slot the hits are the allowed edges that hold every uncovered vertex.
+    # Edges come sorted by shrinking coverage, so the lowest allowed index
+    # carries the largest coverage and bounds what the slots can cover. No
+    # smaller k had a hit, so no node has nothing left to cover. The k = 1
+    # answer spends one unit of the budget and each call of descend one
+    # more. The matching search also blocks the edges that meet a chosen
+    # edge, but picks its vertex from the allowed edges alone, as the ev
+    # search does, so up to the ev search's last size it visits a subset
+    # of the ev search's nodes: a finished ev search whose hits include a
+    # matching also certifies the matching search's budget, and
+    # solve_families runs out exactly when solve_ev or solve_pr would.
     _require_solvable(graph)
-    full = (1 << graph.n) - 1
-    edges = graph.edges
-    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in edges}
-    order = sorted(edges, key=lambda e: (-cover[e].bit_count(), e))
-    outside = [full ^ cover[e] for e in order]
+    if budget < 1:
+        raise CapabilityError(f"search budget of {budget} nodes exhausted")
+    n = graph.n
+    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
+    order = sorted(cover, key=lambda e: (-cover[e].bit_count(), e))
     sizes = [cover[e].bit_count() for e in order]
+    if sizes[0] == n:
+        return 1, [([e], 1 << e[0] | 1 << e[1]) for e in order[:sizes.count(n)]]
+    sizes.append(0)  # the bound for an empty allowed mask, whose lowest index reads -1
+    full = (1 << n) - 1
+    outside = [full ^ cover[e] for e in order]
     ends = [1 << u | 1 << v for u, v in order]
-    m = len(order)
-    left = budget
+    touching = [0] * n
+    for i, (u, v) in enumerate(order):
+        touching[u] |= 1 << i
+        touching[v] |= 1 << i
+    options = [0] * n  # an edge covers w when w is in the closed neighbourhood of an end
+    for x in range(n):
+        for w in _iter_bits(graph.closed_nbr_bits(x)):
+            options[w] |= touching[x]
+    meets = [touching[u] | touching[v] for u, v in order] if matching else [0] * len(order)
+    left = budget - 1
     hits: list[tuple[list[Edge], int]] = []
+    chosen: list[Edge] = []
 
-    def descend(start: int, slots: int, chosen: list[Edge], uncovered: int, used: int) -> None:
+    def descend(slots: int, allowed: int, uncovered: int, used: int, blocked: int) -> None:
         nonlocal left
         left -= 1
         if left < 0:
-            raise CapabilityError("search budget exhausted")
-        missing = uncovered.bit_count()
-        if slots == 1:
-            for i in range(start, m):
-                if missing > sizes[i]:
-                    break
-                if matching and ends[i] & used:
-                    continue
-                left -= 1
-                if not uncovered & outside[i]:
-                    hits.append(([*chosen, order[i]], used | ends[i]))
-            if left < 0:
-                raise CapabilityError("search budget exhausted")
+            raise CapabilityError(f"search budget of {budget} nodes exhausted")
+        if uncovered.bit_count() > slots * sizes[(allowed & -allowed).bit_length() - 1]:
             return
-        for i in range(start, m - slots + 1):
-            if missing > slots * sizes[i]:
-                break
-            if matching and ends[i] & used:
+        rest = uncovered
+        if slots == 1:
+            fits = allowed & ~blocked
+            while rest and fits:
+                low = rest & -rest
+                fits &= options[low.bit_length() - 1]
+                rest ^= low
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                i = low.bit_length() - 1
+                hits.append(([*chosen, order[i]], used | ends[i]))
+            return
+        fewest = allowed
+        count = len(order) + 1
+        while rest:
+            low = rest & -rest
+            here = options[low.bit_length() - 1] & allowed
+            if here.bit_count() < count:
+                fewest, count = here, here.bit_count()
+                if count < 2:
+                    break
+            rest ^= low
+        while fewest:
+            low = fewest & -fewest
+            fewest ^= low
+            allowed ^= low
+            if low & blocked:
                 continue
+            i = low.bit_length() - 1
             chosen.append(order[i])
-            descend(i + 1, slots - 1, chosen, uncovered & outside[i], used | ends[i])
+            descend(slots - 1, allowed, uncovered & outside[i], used | ends[i], blocked | meets[i])
             chosen.pop()
 
+    everything = (1 << len(order)) - 1
     try:
-        for k in range(1, graph.n // 2 + 1):
-            descend(0, k, [], full, 0)
+        for k in range(2, n // 2 + 1):
+            descend(k, everything, full, 0, 0)
             if hits:
                 return k, hits
     except RecursionError:

@@ -9,9 +9,9 @@ union-find over the edge list, colors refined by sorting neighbor-color
 lists, canonical codes minimized over every color-respecting ordering.
 The lemma1 referee replays detangle from the definitions, then runs
 the package's ``detangle`` and requires the same outcome. Former package routines are
-the exceptions: ``min_edge_covers_per_leaf``, the search
-kernel with one call per search node, kept as the referee for the hit
-order and the node count of the package's kernel;
+the exceptions: ``min_edge_covers_sorted``, the search kernel that
+branches over one global edge order, kept as the referee for the hits
+and spans of the package's vertex-branching kernel;
 ``gamma_ev_tree_triples``, the tree DP over (has edge, needs any, needs
 parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``;
 and ``cor_general_blocks`` and ``cor_general2_blocks``, the two
@@ -24,7 +24,6 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from domicert import (
-    CapabilityError,
     DomainError,
     Graph,
     InvariantViolation,
@@ -180,41 +179,42 @@ def min_pr_family_naive(graph: Graph):
     raise AssertionError("no paired dominating set at any size")
 
 
-def min_edge_covers_per_leaf(graph: Graph, budget: int, matching: bool):
-    """(k, hits as edge lists in search order, search nodes spent), one call per node."""
+def min_edge_covers_sorted(graph: Graph, matching: bool):
+    """(k, hits as (edge list, span mask) pairs), branching over one global edge order."""
     full = (1 << graph.n) - 1
-    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
-    order = sorted(graph.edges, key=lambda e: (-cover[e].bit_count(), e))
-    masks = [cover[e] for e in order]
-    sizes = [mask.bit_count() for mask in masks]
-    ends = [(1 << u | 1 << v) if matching else 0 for u, v in order]
+    edges = graph.edges
+    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in edges}
+    order = sorted(edges, key=lambda e: (-cover[e].bit_count(), e))
+    outside = [full ^ cover[e] for e in order]
+    sizes = [cover[e].bit_count() for e in order]
+    ends = [1 << u | 1 << v for u, v in order]
     m = len(order)
-    left = budget
     hits = []
 
-    def descend(start, slots, chosen, covered, used):
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise CapabilityError("search budget exhausted")
-        if slots == 0:
-            if covered == full:
-                hits.append(chosen[:])
+    def descend(start, slots, chosen, uncovered, used):
+        missing = uncovered.bit_count()
+        if slots == 1:
+            for i in range(start, m):
+                if missing > sizes[i]:
+                    break
+                if matching and ends[i] & used:
+                    continue
+                if not uncovered & outside[i]:
+                    hits.append(([*chosen, order[i]], used | ends[i]))
             return
-        missing = (full & ~covered).bit_count()
         for i in range(start, m - slots + 1):
             if missing > slots * sizes[i]:
                 break
-            if ends[i] & used:
+            if matching and ends[i] & used:
                 continue
             chosen.append(order[i])
-            descend(i + 1, slots - 1, chosen, covered | masks[i], used | ends[i])
+            descend(i + 1, slots - 1, chosen, uncovered & outside[i], used | ends[i])
             chosen.pop()
 
     for k in range(1, graph.n // 2 + 1):
-        descend(0, k, [], 0, 0)
+        descend(0, k, [], full, 0)
         if hits:
-            return k, hits, budget - left
+            return k, hits
     raise AssertionError("no ev-dominating matching up to n // 2 edges")
 
 

@@ -496,7 +496,7 @@ class TestRunCensus:
         assert record["verdicts"]["thm1"]["pass"] == 6
 
     def test_budget_produces_skips_not_passes(self):
-        report = run_census(CensusConfig(family="trees", n_min=6, n_max=6, budget=10))
+        report = run_census(CensusConfig(family="trees", n_min=6, n_max=6, budget=3))
         assert report.skip_count > 0
         assert report.counterexample_count == 0
         verdicts = report.per_n[6]["verdicts"]

@@ -126,6 +126,14 @@ class TestEnumerate:
             "{0, 1, 2, 3}",
         ]
 
+    def test_budget_error_names_the_budget(self, capsys, tmp_graph_file, monkeypatch):
+        # the path on 8 vertices takes 4 search nodes
+        monkeypatch.setenv("DOMICERT_BUDGET", "3")
+        path = tmp_graph_file("8 7\n" + "".join(f"{i} {i + 1}\n" for i in range(7)))
+        code, out, err = run_cli(capsys, "enumerate", "--kind", "ev", path)
+        assert (code, out) == (3, "")
+        assert err == "capability error: search budget of 3 nodes exhausted\n"
+
     def test_deterministic(self, capsys, tmp_graph_file):
         path = tmp_graph_file(SPIDER_TEXT)
         first = run_cli(capsys, "enumerate", "--kind", "ev", path)
@@ -280,7 +288,7 @@ class TestCensusCommand:
         assert "total: 11117 graphs, 5 counterexamples, 0 skipped" in out
 
     def test_budget_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("DOMICERT_BUDGET", "10")
+        monkeypatch.setenv("DOMICERT_BUDGET", "3")
         code, out, _ = run_cli(capsys, "census", "--family", "trees",
                                "--n-min", "6", "--n-max", "6")
         assert code == 3

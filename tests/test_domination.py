@@ -27,7 +27,7 @@ from domicert.domination import DEFAULT_BUDGET, _min_edge_covers
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222
 from .oracles import (
     gamma_ev_tree_triples,
-    min_edge_covers_per_leaf,
+    min_edge_covers_sorted,
     min_ev_family_naive,
     min_pr_family_naive,
     tree_from_prufer,
@@ -101,7 +101,7 @@ class TestSolveEv:
             solve_ev(Graph(1, ()))
 
     @pytest.mark.parametrize("graph, nodes", [
-        (pendant_cycle(), 37), (spider_222(), 52), (path_graph(8), 17), (cycle_graph(7), 29),
+        (pendant_cycle(), 5), (spider_222(), 11), (path_graph(8), 4), (cycle_graph(7), 6),
     ], ids=BUDGET_IDS)
     def test_budget_exhaustion(self, graph, nodes):
         solve_ev(graph, budget=nodes)
@@ -155,7 +155,7 @@ class TestSolvePr:
             solve_pr(Graph(3, [(0, 1)]))
 
     @pytest.mark.parametrize("graph, nodes", [
-        (pendant_cycle(), 25), (spider_222(), 25), (path_graph(8), 13), (cycle_graph(7), 22),
+        (pendant_cycle(), 5), (spider_222(), 10), (path_graph(8), 4), (cycle_graph(7), 6),
     ], ids=BUDGET_IDS)
     def test_budget_exhaustion(self, graph, nodes):
         solve_pr(graph, budget=nodes)
@@ -227,7 +227,7 @@ class TestSolveFamilies:
                 assert _finishes(solve_families, g, budget) is alone
 
     @pytest.mark.parametrize("graph, nodes", [
-        (pendant_cycle(), 37), (spider_222(), 52), (path_graph(8), 17), (cycle_graph(7), 29),
+        (pendant_cycle(), 5), (spider_222(), 11), (path_graph(8), 4), (cycle_graph(7), 6),
     ], ids=BUDGET_IDS)
     def test_budget_exhaustion(self, graph, nodes):
         solve_families(graph, budget=nodes)
@@ -268,29 +268,74 @@ class TestSolveFamilies:
 
 
 class TestSearchKernel:
-    """The kernel against the former per-leaf kernel, ``min_edge_covers_per_leaf``."""
+    """The vertex-branching kernel against the former kernel over one global edge order."""
 
     @staticmethod
     def _graphs(tree_max: int, connected_max: int):
         graphs = [g for n in range(2, tree_max + 1) for g in generate_trees(n)]
         return graphs + [g for n in range(2, connected_max + 1) for g in generate_connected_graphs(n)]
 
-    @pytest.mark.parametrize("matching", [False, True], ids=["ev", "matching"])
-    def test_same_hits_in_order(self, matching):
-        for g in self._graphs(12, 7):
-            want_k, want, _ = min_edge_covers_per_leaf(g, DEFAULT_BUDGET, matching)
-            k, hits = _min_edge_covers(g, DEFAULT_BUDGET, matching)
-            assert (k, [pick for pick, _ in hits]) == (want_k, want)
-            for pick, span in hits:
-                assert span == sum(1 << v for v in spanned_vertices(pick))
+    @staticmethod
+    def _check_against_referee(g, matching):
+        def normalized(k, hits):
+            return k, sorted((sorted(pick), span) for pick, span in hits)
+
+        got = normalized(*_min_edge_covers(g, DEFAULT_BUDGET, matching))
+        assert got == normalized(*min_edge_covers_sorted(g, matching))
+
+    @staticmethod
+    def _nodes(g, matching) -> int:
+        """The smallest budget with which the kernel finishes."""
+        budget = 1
+        while not _finishes(lambda graph, b: _min_edge_covers(graph, b, matching), g, budget):
+            budget += 1
+        return budget
 
     @pytest.mark.parametrize("matching", [False, True], ids=["ev", "matching"])
-    def test_same_smallest_finishing_budget(self, matching):
+    def test_same_sorted_hits_and_spans(self, matching):
+        for g in self._graphs(12, 7):
+            self._check_against_referee(g, matching)
+
+    def test_same_sorted_hits_on_random_graphs(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def graphs(draw):
+            # every vertex gets one edge to a drawn partner, then random extra
+            # edges; the graph may be disconnected but has no isolated vertex
+            n = draw(st.integers(min_value=2, max_value=12))
+            partners = draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+            slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            extra = draw(st.lists(st.sampled_from(slots), unique=True))
+            return Graph(n, [(v, p + (p >= v)) for v, p in enumerate(partners)] + extra)
+
+        @settings(max_examples=100, deadline=None)
+        @given(graphs(), st.booleans())
+        def check(g, matching):
+            self._check_against_referee(g, matching)
+
+        check()
+
+    @pytest.mark.parametrize("matching, total", [(False, 705), (True, 690)], ids=["ev", "matching"])
+    def test_smallest_finishing_budget_total(self, matching, total):
+        assert sum(self._nodes(g, matching) for g in self._graphs(9, 6)) == total
+
+    def test_matching_search_visits_no_more_nodes(self):
+        # it branches on the same vertices as the ev search and skips more
+        # edges, so up to the ev search's size it visits a subset of its nodes
         for g in self._graphs(9, 6):
-            _, _, nodes = min_edge_covers_per_leaf(g, DEFAULT_BUDGET, matching)
-            _min_edge_covers(g, nodes, matching)
-            with pytest.raises(CapabilityError):
-                _min_edge_covers(g, nodes - 1, matching)
+            k, hits = _min_edge_covers(g, DEFAULT_BUDGET, False)
+            if any(span.bit_count() == 2 * k for _, span in hits):
+                assert self._nodes(g, True) <= self._nodes(g, False)
+
+    def test_reach_on_prufer_trees(self):
+        # the former kernel, over one global edge order, exhausts this budget on each
+        rng = random.Random(5)
+        for _ in range(5):
+            g = tree_from_prufer([rng.randrange(36) for _ in range(34)], 36)
+            assert solve_ev(g, budget=10**5).gamma == gamma_ev_tree_fast(g)
 
 
 class TestSearchDepth:
