@@ -40,7 +40,7 @@ from importlib import resources
 from itertools import islice
 from multiprocessing import Pool
 
-from .domination import DEFAULT_BUDGET, MinSetFamily, solve_families, spanned_vertices
+from .domination import DEFAULT_BUDGET, MinSetFamily, solve_families
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
 from .graphs import (
     Graph,
@@ -53,7 +53,7 @@ from .graphs import (
     parse_edge_list,
     perfect_matchings_within,
 )
-from .twinning import _claim_holds, _first_sharing_pair, _sharing_pairs, _twin
+from .twinning import _claim_holds, _first_sharing_pair, _incidence, _sharing_pairs, _twin
 
 TREES = "trees"
 CONNECTED = "connected_graphs"
@@ -266,7 +266,9 @@ def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
 
 def _attach(g: Graph, mask: int) -> Graph:
     # g plus a newcomer joined to the vertices in mask
-    return _from_nbr_bits(tuple(b | (mask >> i & 1) << g.n for i, b in enumerate(g.nbr_bits)) + (mask,))
+    bits = [b | (mask >> i & 1) << g.n for i, b in enumerate(g.nbr_bits)]
+    bits.append(mask)
+    return _from_nbr_bits(tuple(bits))
 
 
 def _components(g: Graph, alive: int) -> list[int]:
@@ -296,61 +298,81 @@ def _check_thm1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
 
 
 def _check_uniqueness_equivalence(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    return (len(ev.sets) == 1) == (len(pr.sets) == 1)
+    return (len(ev.masks) == 1) == (len(pr.masks) == 1)
 
 
 def _check_cor1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    return len(ev.sets) != 1 or len(pr.sets) == 1
+    return len(ev.masks) != 1 or len(pr.masks) == 1
 
 
 def _check_cor_general(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    # either family unique: both are, the ev-set spans the paired set and
-    # is the only perfect matching inside it
-    if len(ev.sets) != 1 and len(pr.sets) != 1:
+    # either family unique: both are, the ev-set spans the paired set D and
+    # is the only perfect matching inside it. When 2 * gamma_ev == gamma_pr
+    # the perfect matchings of G[D] are exactly the minimum ev-sets that span
+    # D, as each has |D| / 2 edges and covers N[D], which is every vertex; so
+    # a unique ev-set spanning D is the only one. Otherwise they are listed
+    if len(ev.masks) != 1 and len(pr.masks) != 1:
         return True
-    return (len(ev.sets) == len(pr.sets) == 1
-            and spanned_vertices(ev.sets[0]) == frozenset(pr.sets[0])
-            and list(perfect_matchings_within(graph, pr.sets[0])) == [ev.sets[0]])
+    if not (len(ev.masks) == len(pr.masks) == 1 and ev.spans[0] == pr.masks[0]):
+        return False
+    return 2 * ev.gamma == pr.gamma or list(perfect_matchings_within(graph, pr.sets[0])) == [ev.sets[0]]
 
 
 def _check_cor_general2(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    spans = {spanned_vertices(m) for m in ev.sets}
-    if len(pr.sets) == 1:
-        return spans == {frozenset(pr.sets[0])}
+    spans = set(ev.spans)
+    if len(pr.masks) == 1:
+        return spans == {pr.masks[0]}
     return len(spans) > 1
 
 
 def _check_claim(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    return all(_claim_holds(m) for m in ev.sets)
+    tangled = _tangled(ev)
+    if not tangled:
+        return True
+    edges = graph.edges
+    incident = _incidence(edges)
+    return all(_claim_holds(edges, incident, members) for members in tangled)
 
 
 def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    minimum = set(ev.sets)
-    return all(_detangles_cleanly(graph, minimum, m) for m in ev.sets)
-
-
-def _detangles_cleanly(graph: Graph, minimum: set, members) -> bool:
-    # the one twinning step that detangle takes on members: both rewrites
-    # are distinct members of ``minimum`` (the family's sorted edge tuples)
-    # with equally many sharing pairs, strictly fewer than before, and two
-    # sharing-free rewrites keep |members| edges and span different vertex
-    # sets. Each left rewrite is a member checked in its own turn, so over
-    # the family this checks every step of every detangle chain; a set
-    # without a sharing pair has nothing to detangle
-    pair = _first_sharing_pair(members)
-    if pair is None:
+    tangled = _tangled(ev)
+    if not tangled:
         return True
+    edges = graph.edges
+    incident = _incidence(edges)
+    # a member that is a matching has no sharing pair
+    pairs = {members: _sharing_pairs(edges, incident, members) for members in tangled}
+    minimum = {members: (span, pairs.get(members, 0)) for members, span in zip(ev.masks, ev.spans)}
+    return all(_detangles_cleanly(graph, edges, incident, minimum, members) for members in tangled)
+
+
+def _tangled(ev: MinSetFamily) -> list[int]:
+    # the members with a sharing pair: gamma edges that span fewer than
+    # 2 * gamma vertices. A member spanning 2 * gamma is a matching, with
+    # nothing to detangle and no three edges forming a path or a triangle
+    limit = 2 * ev.gamma
+    return [members for members, span in zip(ev.masks, ev.spans) if span.bit_count() < limit]
+
+
+def _detangles_cleanly(graph: Graph, edges, incident, minimum: dict[int, tuple[int, int]], members: int) -> bool:
+    # the one twinning step that detangle takes on members, which have a
+    # sharing pair: both rewrites are distinct members of ``minimum`` (the
+    # family's edge masks, each mapped to its span and its sharing pairs)
+    # with equally many sharing pairs, strictly fewer than before, and two
+    # sharing-free rewrites keep the edge count of members and span
+    # different vertex sets. Each left rewrite is a member checked in its
+    # own turn, so over the family this checks every step of every
+    # detangle chain
     try:
-        left, right, _, _ = _twin(graph, members, *pair)
+        left, right, _, _ = _twin(graph, edges, incident, members, *_first_sharing_pair(edges, incident, members))
     except NotMinimumWitness:
-        return False
-    after = _sharing_pairs(left)
-    if after != _sharing_pairs(right) or after >= _sharing_pairs(members):
         return False
     if left == right or left not in minimum or right not in minimum:
         return False
-    return after > 0 or (len(left) == len(members) == len(right)
-                         and spanned_vertices(left) != spanned_vertices(right))
+    (left_span, after), (right_span, other) = minimum[left], minimum[right]
+    if after != other or after >= minimum[members][1]:
+        return False
+    return after > 0 or (left.bit_count() == members.bit_count() == right.bit_count() and left_span != right_span)
 
 
 _CHECK_TABLE = {
@@ -557,11 +579,10 @@ def figure1_graph() -> Graph:
 def figure1_claims(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[str, bool], ...]:
     """The five claims the pendant-cycle fixture is shipped to witness."""
     ev, pr = solve_families(graph, budget)
-    spans = {spanned_vertices(m) for m in ev.sets}
     return (
         ("gamma_ev == 2", ev.gamma == 2),
-        ("exactly two minimum ev sets", len(ev.sets) == 2),
+        ("exactly two minimum ev sets", len(ev.masks) == 2),
         ("gamma_pr == 4", pr.gamma == 4),
-        ("exactly one minimum paired set", len(pr.sets) == 1),
-        ("every ev span equals the paired set", spans == {frozenset(pr.sets[0])}),
+        ("exactly one minimum paired set", len(pr.masks) == 1),
+        ("every ev span equals the paired set", set(ev.spans) == {pr.masks[0]}),
     )

@@ -173,7 +173,7 @@ def _plural(count: int, noun: str) -> str:
 
 def _family_line(family) -> str:
     label = "gamma_ev" if family.kind == "ev" else "gamma_pr"
-    return f"{label} = {family.gamma}; {_plural(len(family.sets), 'minimum set')}"
+    return f"{label} = {family.gamma}; {_plural(len(family.masks), 'minimum set')}"
 
 
 def _cmd_family(args, budget: int) -> int:

@@ -16,10 +16,10 @@ one. ``solve_families`` reads both families off one ev search: the
 minimum ev-sets that are matchings span the minimum paired sets whenever
 any of them is a matching, and only when none is (gamma_pr would then
 differ from 2 * gamma_ev) does it run the paired search too, so its
-answer is exact without assuming that identity. Each hit carries the
-bitmask of the vertices its edges span: a hit of k edges is a matching
-exactly when 2k bits are set, and the distinct masks are the paired
-sets.
+answer is exact without assuming that identity. Each hit is two
+bitmasks, its edges over ``graph.edges`` and the vertices they span: a
+hit of k edges is a matching exactly when 2k span bits are set, and the
+distinct spans are the paired sets. The families keep these masks.
 
 The search answers one edge from the edges that cover every vertex. For
 more edges it branches on the uncovered vertex that the fewest allowed
@@ -34,6 +34,7 @@ size and each edge added to a choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CapabilityError, DomainError, InvariantViolation
 from .graphs import Graph, _iter_bits, _tree_walk, _vertex_mask, is_tree, normalize_edge, perfect_matchings_within
@@ -47,15 +48,30 @@ Edge = tuple[int, int]
 class MinSetFamily:
     """Every minimum set of one kind for one graph.
 
-    ``sets`` is a lexicographically sorted, duplicate-free tuple; each
-    member is itself a sorted tuple (of edges for kind "ev", of vertices
-    for kind "paired").
+    Each member is a bitmask: bit j of an ev-set stands for
+    ``graph.edges[j]``, and bit v of a paired set for vertex v.
+    ``masks`` is ascending and duplicate-free; ``spans`` lines up with it
+    and holds the vertices each member spans, so a paired set spans
+    itself. ``sets`` is the view for printing and records, built on first
+    use: a lexicographically sorted tuple of members, each itself a
+    sorted tuple (of edges for kind "ev", of vertices for kind "paired").
     """
 
     kind: str
     gamma: int
-    sets: tuple[tuple, ...]
+    masks: tuple[int, ...]
+    spans: tuple[int, ...]
     graph: Graph
+
+    @cached_property
+    def sets(self) -> tuple[tuple, ...]:
+        if self.kind == "ev":
+            edges = self.graph.edges
+            members = [_edge_tuple(edges, mask) for mask in self.masks]
+        else:
+            members = [tuple([*_iter_bits(mask)]) for mask in self.masks]
+        members.sort()
+        return tuple(members)
 
     def contains(self, members) -> bool:
         """Membership test that normalizes the candidate's ordering first."""
@@ -120,7 +136,8 @@ def solve_ev(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
 
 def solve_pr(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
     """All minimum paired-dominating sets, as spans of minimum ev-dominating matchings."""
-    return _pr_family(graph, *_min_edge_covers(graph, budget, matching=True))
+    k, hits = _min_edge_covers(graph, budget, matching=True)
+    return _pr_family(graph, k, [span for _, span in hits])
 
 
 def solve_families(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[MinSetFamily, MinSetFamily]:
@@ -129,13 +146,12 @@ def solve_families(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[MinSetFa
     Raises CapabilityError exactly when either solver would on its own
     with the same budget.
     """
-    k, hits = _min_edge_covers(graph, budget, matching=False)
-    ev = _ev_family(graph, k, hits)
-    matchings = [hit for hit in hits if hit[1].bit_count() == 2 * k]
+    ev = _ev_family(graph, *_min_edge_covers(graph, budget, matching=False))
+    matchings = [span for span in ev.spans if span.bit_count() == 2 * ev.gamma]
     if not matchings:
         # then gamma_pr != 2 * gamma_ev, which the census checks, not assumes
         return ev, solve_pr(graph, budget)
-    return ev, _pr_family(graph, k, matchings)
+    return ev, _pr_family(graph, ev.gamma, matchings)
 
 
 def spanned_vertices(edges) -> frozenset[int]:
@@ -151,17 +167,15 @@ def uniqueness(graph: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> Uniquen
     """Uniqueness of the minimum family of the given kind ("ev" or "paired")."""
     if kind == "ev":
         family = solve_ev(graph, budget)
-        spans = {spanned_vertices(m) for m in family.sets}
-        common = next(iter(spans)) if len(spans) == 1 else None
     elif kind == "paired":
         family = solve_pr(graph, budget)
-        common = frozenset(family.sets[0]) if len(family.sets) == 1 else None
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    spans = set(family.spans)
     return UniquenessVerdict(
-        unique=len(family.sets) == 1,
-        witness_count=len(family.sets),
-        common_span=common,
+        unique=len(family.masks) == 1,
+        witness_count=len(family.masks),
+        common_span=frozenset(_iter_bits(*spans)) if len(spans) == 1 else None,
         family=family,
     )
 
@@ -207,65 +221,70 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
 
 
 def _ev_family(graph: Graph, k: int, hits) -> MinSetFamily:
-    sets = tuple(sorted(tuple(sorted(pick)) for pick, _ in hits))
-    return MinSetFamily(kind="ev", gamma=k, sets=sets, graph=graph)
+    hits.sort()
+    masks, spans = zip(*hits)
+    return MinSetFamily(kind="ev", gamma=k, masks=masks, spans=spans, graph=graph)
 
 
-def _pr_family(graph: Graph, k: int, hits) -> MinSetFamily:
-    sets = tuple(sorted(tuple(_iter_bits(span)) for span in {span for _, span in hits}))
-    return MinSetFamily(kind="paired", gamma=2 * k, sets=sets, graph=graph)
+def _pr_family(graph: Graph, k: int, spans) -> MinSetFamily:
+    masks = tuple(sorted(set(spans)))
+    return MinSetFamily(kind="paired", gamma=2 * k, masks=masks, spans=masks, graph=graph)
 
 
 def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
-    # each an (edge list, span bitmask) pair: a maximal matching has at
-    # most n // 2 edges and its span dominates a graph without isolated
-    # vertices. k = 1 is the prefix of edges that cover every vertex, read
-    # before anything else is built. For larger k, a depth-first search
-    # passes the allowed edges (a bitmask over edge indices) and the still
+    # each an (edge mask, span mask) pair, where bit j of the edge mask is
+    # graph.edges[j]: a maximal matching has at most n // 2 edges and its
+    # span dominates a graph without isolated vertices. k = 1 is the
+    # prefix of edges that cover every vertex, read before anything else
+    # is built. For larger k, a depth-first search passes the allowed
+    # edges (a bitmask over positions in the search order) and the still
     # uncovered vertices down, and branches on the uncovered vertex with
     # the fewest allowed options, the edges whose coverage holds it, as
     # exact set-cover solvers pick the element with the fewest options
     # (Knuth, "Dancing links", 2000). Each tried edge leaves the allowed
     # mask of its later siblings, so each set is found once. In the last
     # slot the hits are the allowed edges that hold every uncovered vertex.
-    # Edges come sorted by shrinking coverage, so the lowest allowed index
-    # carries the largest coverage and bounds what the slots can cover. No
-    # smaller k had a hit, so no node has nothing left to cover. The k = 1
-    # answer spends one unit of the budget and each call of descend one
-    # more. The matching search also blocks the edges that meet a chosen
-    # edge, but picks its vertex from the allowed edges alone, as the ev
-    # search does, so up to the ev search's last size it visits a subset
-    # of the ev search's nodes: a finished ev search whose hits include a
-    # matching also certifies the matching search's budget, and
-    # solve_families runs out exactly when solve_ev or solve_pr would.
+    # Edges come sorted by shrinking coverage, so the lowest allowed
+    # position carries the largest coverage and bounds what the slots can
+    # cover. No smaller k had a hit, so no node has nothing left to cover.
+    # The k = 1 answer spends one unit of the budget and each call of
+    # descend one more. The matching search also blocks the edges that
+    # meet a chosen edge, but picks its vertex from the allowed edges
+    # alone, as the ev search does, so up to the ev search's last size it
+    # visits a subset of the ev search's nodes: a finished ev search whose
+    # hits include a matching also certifies the matching search's budget,
+    # and solve_families runs out exactly when solve_ev or solve_pr would.
     _require_solvable(graph)
     if budget < 1:
         raise CapabilityError(f"search budget of {budget} nodes exhausted")
     n = graph.n
-    cover = {e: graph.closed_nbr_bits(e[0]) | graph.closed_nbr_bits(e[1]) for e in graph.edges}
-    order = sorted(cover, key=lambda e: (-cover[e].bit_count(), e))
-    sizes = [cover[e].bit_count() for e in order]
+    edges = graph.edges
+    cover = [graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v) for u, v in edges]
+    # a stable sort: equal coverage keeps the lexicographic edge order
+    order = sorted(range(len(edges)), key=lambda j: -cover[j].bit_count())
+    sizes = [cover[j].bit_count() for j in order]
+    ends = [1 << edges[j][0] | 1 << edges[j][1] for j in order]
     if sizes[0] == n:
-        return 1, [([e], 1 << e[0] | 1 << e[1]) for e in order[:sizes.count(n)]]
-    sizes.append(0)  # the bound for an empty allowed mask, whose lowest index reads -1
+        return 1, [(1 << j, ends[i]) for i, j in enumerate(order[:sizes.count(n)])]
+    pbit = [1 << j for j in order]  # the edge-mask bit of each position
+    sizes.append(0)  # the bound for an empty allowed mask, whose lowest position reads -1
     full = (1 << n) - 1
-    outside = [full ^ cover[e] for e in order]
-    ends = [1 << u | 1 << v for u, v in order]
+    outside = [full ^ cover[j] for j in order]
     touching = [0] * n
-    for i, (u, v) in enumerate(order):
+    for i, j in enumerate(order):
+        u, v = edges[j]
         touching[u] |= 1 << i
         touching[v] |= 1 << i
     options = [0] * n  # an edge covers w when w is in the closed neighbourhood of an end
     for x in range(n):
         for w in _iter_bits(graph.closed_nbr_bits(x)):
             options[w] |= touching[x]
-    meets = [touching[u] | touching[v] for u, v in order] if matching else [0] * len(order)
+    meets = [touching[edges[j][0]] | touching[edges[j][1]] for j in order] if matching else [0] * len(order)
     left = budget - 1
-    hits: list[tuple[list[Edge], int]] = []
-    chosen: list[Edge] = []
+    hits: list[tuple[int, int]] = []
 
-    def descend(slots: int, allowed: int, uncovered: int, used: int, blocked: int) -> None:
+    def descend(slots: int, allowed: int, uncovered: int, used: int, blocked: int, picked: int) -> None:
         nonlocal left
         left -= 1
         if left < 0:
@@ -283,7 +302,7 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
                 low = fits & -fits
                 fits ^= low
                 i = low.bit_length() - 1
-                hits.append(([*chosen, order[i]], used | ends[i]))
+                hits.append((picked | pbit[i], used | ends[i]))
             return
         fewest = allowed
         count = len(order) + 1
@@ -302,18 +321,18 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
             if low & blocked:
                 continue
             i = low.bit_length() - 1
-            chosen.append(order[i])
-            descend(slots - 1, allowed, uncovered & outside[i], used | ends[i], blocked | meets[i])
-            chosen.pop()
+            descend(slots - 1, allowed, uncovered & outside[i], used | ends[i], blocked | meets[i], picked | pbit[i])
 
     everything = (1 << len(order)) - 1
     try:
         for k in range(2, n // 2 + 1):
-            descend(k, everything, full, 0, 0)
+            descend(k, everything, full, 0, 0, 0)
             if hits:
                 return k, hits
     except RecursionError:
         raise CapabilityError(f"search for {k} edges goes deeper than the recursion limit") from None
+    finally:
+        del descend  # descend reaches itself through its closure; unbinding it leaves no cycle to collect
     raise InvariantViolation("no ev-dominating matching up to n // 2 edges")
 
 
@@ -323,6 +342,11 @@ def _require_solvable(graph: Graph) -> None:
     for v in range(graph.n):
         if not graph.nbr_bits[v]:
             raise DomainError(f"vertex {v} is isolated")
+
+
+def _edge_tuple(edges, mask: int) -> tuple[Edge, ...]:
+    # the edges whose indices are the bits of mask, in index order
+    return tuple([edges[j] for j in _iter_bits(mask)])
 
 
 def _normalized(edges) -> tuple[Edge, ...]:

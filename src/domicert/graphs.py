@@ -63,11 +63,18 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, b in enumerate(self.nbr_bits) for v in _iter_bits(b >> u + 1 << u + 1))
+        edges = []
+        for u, b in enumerate(self.nbr_bits):
+            b = b >> u + 1 << u + 1
+            while b:
+                low = b & -b
+                edges.append((u, low.bit_length() - 1))
+                b ^= low
+        return tuple(edges)
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_iter_bits(b)) for b in self.nbr_bits)
+        return tuple([tuple([*_iter_bits(b)]) for b in self.nbr_bits])
 
     @property
     def edge_count(self) -> int:
@@ -77,7 +84,7 @@ class Graph:
         return self.nbr_bits[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_iter_bits(self.nbr_bits[v]))
+        return tuple([*_iter_bits(self.nbr_bits[v])])
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -333,6 +340,8 @@ def perfect_matchings_within(graph: Graph, vertices: Iterable[int]) -> Iterator[
     except RecursionError:
         raise CapabilityError(
             f"matching search over {mask.bit_count()} vertices goes deeper than the recursion limit") from None
+    finally:
+        del rec  # rec reaches itself through its closure; unbinding it leaves no cycle to collect
 
 
 def _vertex_mask(graph: Graph, vertices: Iterable[int]) -> int:
@@ -495,6 +504,7 @@ def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:
             used &= ~(1 << v)
 
     descend(0)
+    del descend  # descend reaches itself through its closure; unbinding it leaves no cycle to collect
     value = 0
     for pos in range(1, n):
         value = value << pos | best[pos]

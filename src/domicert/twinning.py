@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .domination import Edge, _normalized, _require_edge
+from .domination import Edge, _edge_tuple, _normalized, _require_edge
 from .errors import InvariantViolation, NotMinimumWitness
 from .graphs import Graph, normalize_edge
 
@@ -48,12 +48,12 @@ class DetangleResult:
 
 def sharing_pairs(edges) -> int:
     """Number of unordered member pairs with a common endpoint."""
-    return _sharing_pairs({normalize_edge(u, v) for u, v in edges})
+    return _sharing_pairs(*_loose(edges))
 
 
 def check_claim(graph: Graph, edges) -> bool:
     """No three members form a path on four vertices or a triangle."""
-    return _claim_holds({normalize_edge(u, v) for u, v in edges})
+    return _claim_holds(*_loose(edges))
 
 
 def find_private_vertex(graph: Graph, edges, edge: Edge, anchor: int) -> int:
@@ -68,9 +68,9 @@ def find_private_vertex(graph: Graph, edges, edge: Edge, anchor: int) -> int:
         raise ValueError(f"{edge} is not a member of the set")
     if anchor not in edge:
         raise ValueError(f"vertex {anchor} is not an endpoint of {edge}")
-    for member in members:
-        _require_edge(graph, member)
-    return _private_vertex(graph, members, edge, anchor)
+    edge_list, incident, mask = _on_graph(graph, members)
+    u, v = edge
+    return _private_vertex(graph, edge_list, mask, incident[u] & incident[v], anchor)
 
 
 def twinning(graph: Graph, edges, e1: Edge, e2: Edge):
@@ -90,9 +90,11 @@ def twinning(graph: Graph, edges, e1: Edge, e2: Edge):
         raise ValueError("both edges must be members of the set")
     if len(set(e1) & set(e2)) != 1:
         raise ValueError(f"{e1} and {e2} must share exactly one vertex")
-    for member in members:
-        _require_edge(graph, member)
-    return _twin(graph, members, e1, e2)
+    edge_list, incident, mask = _on_graph(graph, members)
+    a, b = (incident[u] & incident[v] for u, v in (e1, e2))
+    left, right, x1, x2 = _twin(graph, edge_list, incident, mask, a, b)
+    return (_edge_tuple(edge_list, left), _edge_tuple(edge_list, right),
+            _step(e1, e2, x1), _step(e2, e1, x2))
 
 
 def detangle(graph: Graph, edges) -> DetangleResult:
@@ -105,85 +107,144 @@ def detangle(graph: Graph, edges) -> DetangleResult:
     hitting the cap means the caller's inputs were inconsistent.
     """
     members = _normalized(edges)
-    pair = _first_sharing_pair(members)
+    # the first pair of the input as given, repeats included, so a repeat
+    # is reported before any member is looked up in the graph; a repeat can
+    # only be the first pair, since each step drops repeats
+    pair = next(((a, b) for a, b in combinations(members, 2) if a[0] in b or a[1] in b), None)
     if pair is None:
         raise ValueError("the set has no sharing pair to rewrite")
-    # a repeated member can only be the first pair: each step drops repeats
     if pair[0] == pair[1]:
         raise ValueError("need two distinct edges")
-    for member in members:
-        _require_edge(graph, member)
+    edge_list, incident, current = _on_graph(graph, members)
     cap = len(members) ** 2
-    current = members
     trace: list[TwinningStep] = []
-    while pair is not None:
+    bits = _first_sharing_pair(edge_list, incident, current)
+    while bits is not None:
         if len(trace) == cap:
             raise InvariantViolation(f"detangle exceeded {cap} iterations")
-        current, right, left_step, _ = _twin(graph, current, *pair)
-        trace.append(left_step)
-        pair = _first_sharing_pair(current)
-    return DetangleResult(left=current, right=right, trace=tuple(trace), iterations=len(trace))
+        a, b = bits
+        current, right, x, _ = _twin(graph, edge_list, incident, current, a, b)
+        trace.append(_step(edge_list[a.bit_length() - 1], edge_list[b.bit_length() - 1], x))
+        bits = _first_sharing_pair(edge_list, incident, current)
+    return DetangleResult(left=_edge_tuple(edge_list, current), right=_edge_tuple(edge_list, right),
+                          trace=tuple(trace), iterations=len(trace))
 
 
-# The private cores take members as distinct normalized edges; the last
-# two need them as a sorted tuple of graph edges, and edges that are
-# members of it. The public functions above check that once.
-def _sharing_pairs(members) -> int:
-    # two distinct edges share at most one vertex, so a vertex met by d
-    # members adds C(d, 2) pairs: the k-th member there pairs with k - 1
-    met: dict[int, int] = {}
-    pairs = 0
+# The cores take a set as a bitmask ``members`` over the indices of a
+# sorted, duplicate-free edge list ``edges``, and ``incident[v]``, the
+# mask of the edges that meet vertex v (``_incidence``). The census runs
+# them on the graph's edge list; the public functions above check their
+# tuple arguments once and convert at this boundary. Bit order is
+# lexicographic edge order.
+def _incidence(edges) -> list[int]:
+    # per vertex, the mask of the edges that meet it
+    incident = [0] * (1 + max((v for _, v in edges), default=-1))
+    for j, (u, v) in enumerate(edges):
+        incident[u] |= 1 << j
+        incident[v] |= 1 << j
+    return incident
+
+
+def _on_graph(graph: Graph, members) -> tuple[tuple[Edge, ...], list[int], int]:
+    # normalized members, each checked to be a graph edge, as the cores
+    # take them: the graph's edge list, its incidence, and their mask
+    for member in members:
+        _require_edge(graph, member)
+    edges = graph.edges
+    incident = _incidence(edges)
+    mask = 0
     for u, v in members:
-        d = met.get(u, 0)
-        f = met.get(v, 0)
-        met[u] = d + 1
-        met[v] = f + 1
-        pairs += d + f
-    return pairs
+        mask |= incident[u] & incident[v]
+    return edges, incident, mask
 
 
-def _claim_holds(members) -> bool:
+def _loose(edges) -> tuple[list[Edge], list[int], int]:
+    # arbitrary edges, not necessarily of any graph, repeats dropped, as
+    # the cores take them: their own sorted list, its incidence, and all
+    distinct = sorted({normalize_edge(u, v) for u, v in edges})
+    return distinct, _incidence(distinct), (1 << len(distinct)) - 1
+
+
+def _sharing_pairs(edges, incident, members: int) -> int:
+    # two distinct edges share at most one vertex, so each member meets a
+    # partner once and itself at both ends: summed over the members, that
+    # counts every pair twice and every member twice
+    met = 0
+    rest = members
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u, v = edges[low.bit_length() - 1]
+        met += (members & incident[u]).bit_count() + (members & incident[v]).bit_count()
+    return met // 2 - members.bit_count()
+
+
+def _claim_holds(edges, incident, members: int) -> bool:
     # three members form a P4 or a triangle exactly when some member meets
     # another member at each of its endpoints: those two others differ,
     # since a member meeting both endpoints would be the same edge, and
     # their far ends coincide (triangle) or not (P4)
-    seen = twice = 0
-    for u, v in members:
-        ends = 1 << u | 1 << v
-        twice |= seen & ends
-        seen |= ends
-    return not twice or not any(twice >> u & 1 and twice >> v & 1 for u, v in members)
+    rest = members
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u, v = edges[low.bit_length() - 1]
+        if members & incident[u] != low and members & incident[v] != low:
+            return False
+    return True
 
 
-def _private_vertex(graph: Graph, members, edge: Edge, anchor: int) -> int:
-    # every neighbor of the anchor is ev-dominated by the edge itself,
-    # so only the coverage N[u] | N[v] of the other members is ruled out
+def _first_sharing_pair(edges, incident, members: int) -> tuple[int, int] | None:
+    # the first pair of members, as single bits, that shares a vertex: the
+    # lowest member with a later partner, and its lowest later partner
+    rest = members
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u, v = edges[low.bit_length() - 1]
+        later = rest & (incident[u] | incident[v])
+        if later:
+            return low, later & -later
+    return None
+
+
+def _private_vertex(graph: Graph, edges, members: int, bit: int, anchor: int) -> int:
+    # the smallest neighbor of the anchor that only the member ``bit``
+    # ev-dominates: it dominates every neighbor of its own end, so only the
+    # coverage N[u] | N[v] of the other members is ruled out, which for a
+    # graph edge uv is the open neighbourhoods' union
+    nbr = graph.nbr_bits
     covered = 0
-    for u, v in members:
-        if (u, v) != edge:
-            covered |= graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v)
-    free = graph.nbr_bits[anchor] & ~covered
+    others = members & ~bit
+    while others:
+        low = others & -others
+        others ^= low
+        u, v = edges[low.bit_length() - 1]
+        covered |= nbr[u] | nbr[v]
+    free = nbr[anchor] & ~covered
     if free:
         return (free & -free).bit_length() - 1
-    raise NotMinimumWitness(f"no private vertex for {edge} at {anchor}")
+    raise NotMinimumWitness(f"no private vertex for {edges[bit.bit_length() - 1]} at {anchor}")
 
 
-def _twin(graph: Graph, members, e1: Edge, e2: Edge):
-    # twinning on members e1 != e2 that share exactly one vertex
+def _twin(graph: Graph, edges, incident, members: int, a: int, b: int) -> tuple[int, int, int, int]:
+    # twinning on members a != b, single bits, whose edges share exactly
+    # one vertex: (left, right, x_a, x_b), where left swaps a for the
+    # pendant edge from a's outer end to its private vertex x_a, and right
+    # does the same to b
+    e1, e2 = edges[a.bit_length() - 1], edges[b.bit_length() - 1]
     pivot = e1[0] if e1[0] in e2 else e1[1]
-    steps = []
-    for edge in (e1, e2):
-        outer = edge[0] + edge[1] - pivot
-        x = _private_vertex(graph, members, edge, outer)
-        steps.append(TwinningStep(replaced_edge=edge, inserted_edge=normalize_edge(x, outer),
-                                  private_vertex=x, shared_vertex=pivot))
-    base = set(members)
-    left, right = (tuple(sorted(base - {step.replaced_edge} | {step.inserted_edge})) for step in steps)
-    return left, right, *steps
+    outer_a, outer_b = e1[0] + e1[1] - pivot, e2[0] + e2[1] - pivot
+    x_a = _private_vertex(graph, edges, members, a, outer_a)
+    x_b = _private_vertex(graph, edges, members, b, outer_b)
+    return (members ^ a | incident[x_a] & incident[outer_a], members ^ b | incident[x_b] & incident[outer_b],
+            x_a, x_b)
 
 
-def _first_sharing_pair(members) -> tuple[Edge, Edge] | None:
-    for a, b in combinations(members, 2):
-        if a[0] in b or a[1] in b:
-            return a, b
-    return None
+def _step(edge: Edge, other: Edge, x: int) -> TwinningStep:
+    # the swap of ``edge`` for its pendant edge at private vertex x, where
+    # ``other`` is the member it shares a vertex with
+    pivot = edge[0] if edge[0] in other else edge[1]
+    outer = edge[0] + edge[1] - pivot
+    return TwinningStep(replaced_edge=edge, inserted_edge=normalize_edge(x, outer),
+                        private_vertex=x, shared_vertex=pivot)

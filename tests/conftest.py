@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from domicert import Graph
+from domicert import Graph, MinSetFamily
 from domicert.census import CONNECTED, CensusConfig, run_census
+
+from .oracles import sharing_pairs_naive
 
 
 def path_graph(n: int) -> Graph:
@@ -26,6 +28,37 @@ def spider_222() -> Graph:
 def pendant_cycle() -> Graph:
     # 4-cycle 0..3, pendant i+4 hanging off cycle vertex i
     return Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
+
+
+def edge_mask(edges, members) -> int:
+    """The members, edges of the sorted edge list ``edges``, as a bitmask over its indices."""
+    return sum({1 << edges.index(tuple(sorted(e))) for e in members})
+
+
+def vertex_mask(vertices) -> int:
+    """The vertices as a bitmask."""
+    return sum({1 << v for v in vertices})
+
+
+def span_mask(edges) -> int:
+    """The vertices the edges span, as a bitmask."""
+    return vertex_mask(v for e in edges for v in e)
+
+
+def family_of(graph: Graph, kind: str, gamma: int, sets) -> MinSetFamily:
+    """A family holding ``sets``, sorted tuples as ``MinSetFamily.sets`` lists them,
+    as the solvers build one: masks ascending, each with its span."""
+    if kind == "ev":
+        pairs = sorted({(edge_mask(graph.edges, m), span_mask(m)) for m in sets})
+        return MinSetFamily(kind, gamma, tuple(m for m, _ in pairs), tuple(s for _, s in pairs), graph)
+    masks = tuple(sorted({vertex_mask(d) for d in sets}))
+    return MinSetFamily(kind, gamma, masks, masks, graph)
+
+
+def minimum_of(edges, sets) -> dict[int, tuple[int, int]]:
+    """Each set as a mask over ``edges``, mapped to its span and its sharing pairs,
+    as ``census._detangles_cleanly`` reads a family."""
+    return {edge_mask(edges, m): (span_mask(m), sharing_pairs_naive(m)) for m in sets}
 
 
 PENDANT_CYCLE_TEXT = """\

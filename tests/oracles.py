@@ -14,9 +14,13 @@ branches over one global edge order, kept as the referee for the hits
 and spans of the package's vertex-branching kernel;
 ``gamma_ev_tree_triples``, the tree DP over (has edge, needs any, needs
 parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``;
-and ``cor_general_blocks`` and ``cor_general2_blocks``, the two
+``cor_general_blocks`` and ``cor_general2_blocks``, the two
 corollary checks as overlapping blocks, kept as referees for the
-census's one-rule statements.
+census's one-rule statements; and the ``*_tuples`` checks, the census's
+claim, lemma1 and corollary checks as they read the families' sorted
+edge and vertex tuples, kept as referees for the census's bitmask
+checks, with the naive primitives above in place of the package's
+tuple cores.
 """
 
 from __future__ import annotations
@@ -438,3 +442,55 @@ def connected_classes_labeled(n: int) -> set[bytes]:
         if is_connected(g):
             out.add(canonical_code(g))
     return out
+
+
+def claim_tuples(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The census ``claim`` check over the family's edge tuples."""
+    return all(claim_holds_naive(m) for m in ev.sets)
+
+
+def lemma1_tuples(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The census ``lemma1`` check over the family's edge tuples."""
+    minimum = set(ev.sets)
+    return all(detangles_cleanly_tuples(graph, minimum, m) for m in ev.sets)
+
+
+def detangles_cleanly_tuples(graph: Graph, minimum: set, members) -> bool:
+    """The one twinning step that detangle takes on ``members``, over tuples.
+
+    Both rewrites are distinct members of ``minimum`` with equally many
+    sharing pairs, strictly fewer than before, and two sharing-free
+    rewrites keep |members| edges and span different vertex sets. A set
+    without a sharing pair has nothing to detangle.
+    """
+    pair = next(((a, b) for a, b in combinations(members, 2) if set(a) & set(b)), None)
+    if pair is None:
+        return True
+    branches = twinning_naive(graph, members, *pair)
+    if branches is None:
+        return False
+    left, right = branches
+    after = sharing_pairs_naive(left)
+    if after != sharing_pairs_naive(right) or after >= sharing_pairs_naive(members):
+        return False
+    if left == right or left not in minimum or right not in minimum:
+        return False
+    return after > 0 or (len(left) == len(members) == len(right)
+                         and spanned_vertices(left) != spanned_vertices(right))
+
+
+def cor_general_tuples(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The census ``cor_general`` check over tuples, listing the perfect matchings each time."""
+    if len(ev.sets) != 1 and len(pr.sets) != 1:
+        return True
+    return (len(ev.sets) == len(pr.sets) == 1
+            and spanned_vertices(ev.sets[0]) == frozenset(pr.sets[0])
+            and list(perfect_matchings_within(graph, pr.sets[0])) == [ev.sets[0]])
+
+
+def cor_general2_tuples(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The census ``cor_general2`` check over tuples."""
+    spans = {spanned_vertices(m) for m in ev.sets}
+    if len(pr.sets) == 1:
+        return spans == {frozenset(pr.sets[0])}
+    return len(spans) > 1

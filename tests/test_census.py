@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -17,7 +16,6 @@ from domicert import (
     CensusConfig,
     Graph,
     InvariantViolation,
-    MinSetFamily,
     NotMinimumWitness,
     canonical_code,
     detangle,
@@ -38,13 +36,20 @@ from domicert import (
 )
 from domicert import census
 from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
+from domicert.domination import _edge_tuple
+from domicert.twinning import _incidence
 
-from .conftest import path_graph, pendant_cycle, spider_222
+from .conftest import edge_mask, family_of, minimum_of, path_graph, pendant_cycle, spider_222
 from .oracles import (
+    claim_tuples,
     components_union_find,
     connected_classes_labeled,
     cor_general2_blocks,
+    cor_general2_tuples,
     cor_general_blocks,
+    cor_general_tuples,
+    lemma1_tuples,
+    sharing_pairs_naive,
     tree_classes_prufer,
     tree_classes_prufer_ordered,
     tree_from_prufer,
@@ -252,8 +257,9 @@ class TestPinnedCodes:
 
 
 class TestPinnedReports:
-    # report sha256 of the censuses the benchmark runs, and of the shared
-    # n=8 probe, taken from earlier output: the report bytes must not move
+    # report sha256 of the censuses the benchmark runs, of trees n=13..14
+    # and of the shared n=8 probe, taken from earlier output: the report
+    # bytes must not move
 
     @staticmethod
     def _digest(report) -> str:
@@ -262,6 +268,10 @@ class TestPinnedReports:
     def test_trees_standard_checks(self):
         report = run_census(CensusConfig(family="trees", n_min=2, n_max=12, checks=STANDARD_CHECKS))
         assert self._digest(report) == "5c4fa5b414df83107b6708374046c61832b4847337a319e779e143aa3fae1c6b"
+
+    def test_trees_thirteen_to_fourteen(self):
+        report = run_census(CensusConfig(family="trees", n_min=13, n_max=14, checks=STANDARD_CHECKS))
+        assert self._digest(report) == "2237ccca06b8e70c1a41d9e0cec83e87c4e66254e8ffa01b2a41adf080cce596"
 
     def test_connected_all_checks(self):
         report = run_census(CensusConfig(family="connected_graphs", n_min=2, n_max=7,
@@ -317,29 +327,35 @@ def _doctored(sets: tuple) -> list[tuple]:
     return sorted({*combinations(sets, 1), *combinations(sets, 2), sets})
 
 
-def _k4_families():
-    # the ev-set spans the paired set, but K4 has three perfect matchings
+def _k4_families(gamma_ev: int = 1):
+    # the ev-set spans the paired set, but K4 has three perfect matchings.
+    # K4's gamma_ev is 1, so 2 * gamma_ev != gamma_pr and cor_general cannot
+    # read the matchings of G[D] off the family: it lists them
     k4 = Graph(4, list(combinations(range(4), 2)))
-    return k4, MinSetFamily("ev", 2, (((0, 1), (2, 3)),), k4), MinSetFamily("paired", 4, ((0, 1, 2, 3),), k4)
+    return k4, family_of(k4, "ev", gamma_ev, [((0, 1), (2, 3))]), family_of(k4, "paired", 4, [(0, 1, 2, 3)])
+
+
+def _census_families(tree_max: int, connected_max: int):
+    graphs = [g for n in range(2, tree_max + 1) for g in generate_trees(n)]
+    graphs += [g for n in range(2, connected_max + 1) for g in generate_connected_graphs(n)]
+    return [(g, *solve_families(g)) for g in graphs]
 
 
 class TestCorollaryChecks:
     # every census graph passes both checks, so they are driven to fail on
     # families doctored from the real ones and held to the former
-    # overlapping-block statements
+    # overlapping-block statements and to the former tuple-based checks
     def test_agree_with_block_referees_on_doctored_families(self):
         cases = [_k4_families()]
-        graphs = [g for n in range(2, 7) for g in generate_trees(n)]
-        graphs += [g for n in range(2, 6) for g in generate_connected_graphs(n)]
-        for g in graphs:
-            ev, pr = solve_families(g)
-            cases += [(g, dataclasses.replace(ev, sets=ev_sets), dataclasses.replace(pr, sets=pr_sets))
+        for g, ev, pr in _census_families(6, 5):
+            cases += [(g, family_of(g, "ev", ev.gamma, ev_sets), family_of(g, "paired", pr.gamma, pr_sets))
                       for ev_sets in _doctored(ev.sets) for pr_sets in _doctored(pr.sets)]
         fails = Counter()
         for g, ev, pr in cases:
-            for name, referee in (("cor_general", cor_general_blocks), ("cor_general2", cor_general2_blocks)):
+            for name, blocks, tuples in (("cor_general", cor_general_blocks, cor_general_tuples),
+                                         ("cor_general2", cor_general2_blocks, cor_general2_tuples)):
                 verdict = census._CHECK_TABLE[name](g, ev, pr)
-                assert verdict == referee(g, ev, pr), (emit_graph6(g), name, ev.sets, pr.sets)
+                assert verdict == blocks(g, ev, pr) == tuples(g, ev, pr), (emit_graph6(g), name, ev.sets, pr.sets)
                 fails[name] += not verdict
         assert fails["cor_general"] > 0 and fails["cor_general2"] > 0
 
@@ -348,12 +364,56 @@ class TestCorollaryChecks:
         assert not census._check_cor_general(k4, ev, pr)
         assert census._check_cor_general2(k4, ev, pr)
 
+    def test_matchings_are_read_off_the_family_when_thm1_holds(self):
+        # with 2 * gamma_ev == gamma_pr the perfect matchings of G[D] are the
+        # minimum ev-sets spanning D, so a family missing K4's other two
+        # matchings passes: the check trusts the family to be complete there
+        k4, ev, pr = _k4_families(gamma_ev=2)
+        assert census._check_cor_general(k4, ev, pr)
+        assert not cor_general_tuples(k4, ev, pr)
+
+
+class TestMaskChecksAgainstTupleReferees:
+    # the census checks read the families' masks; the former checks read
+    # their sorted tuples. Both on every tree with n <= 12 and every
+    # connected graph with n <= 7, where every check passes
+    CHECKS = {"claim": claim_tuples, "lemma1": lemma1_tuples,
+              "cor_general": cor_general_tuples, "cor_general2": cor_general2_tuples}
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        return _census_families(12, 7)
+
+    def test_same_verdicts_on_census_families(self, families):
+        tallies = Counter()
+        for g, ev, pr in families:
+            for name, referee in self.CHECKS.items():
+                verdict = census._CHECK_TABLE[name](g, ev, pr)
+                assert verdict is referee(g, ev, pr), (emit_graph6(g), name)
+                tallies[name, verdict] += 1
+        assert set(tallies) == {(name, True) for name in self.CHECKS}
+        assert tallies["claim", True] == 986 + 995
+
+    def test_members_with_a_sharing_pair_are_exactly_the_non_matchings(self, families):
+        # claim and lemma1 pass a member that spans 2 * gamma vertices
+        # without further work: such a member is a matching
+        total = tangled = 0
+        # the trees come first, then the connected graphs
+        for g, ev, pr in families[:sum(tree_class_count(n) for n in range(2, 13))]:
+            masks = census._tangled(ev)
+            total += len(ev.masks)
+            tangled += len(masks)
+            assert [sharing_pairs_naive(m) > 0 for m in ev.sets] == [
+                mask in masks for mask in (edge_mask(g.edges, m) for m in ev.sets)]
+        assert (total, total - tangled) == (10905, 8251)
+
 
 # The spider's star set twins into two sets with one sharing pair each. A
 # tree has one perfect matching per span, and the spider one star of three
 # members, so the forged steps that need a second three-pair member, or a
 # second sharing-free member spanning {0, 1, 2, 3, 5, 6}, add these
-# stand-ins to the family.
+# stand-ins to the family. Neither is a set of spider edges, so the
+# forged family is indexed over the spider's edges and theirs.
 STAR = ((0, 1), (0, 3), (0, 5))
 THREE_PAIRS = ((0, 1), (0, 3), (1, 3))
 SAME_SPAN = ((0, 1), (2, 3), (5, 6))
@@ -372,8 +432,7 @@ class TestLemma1Failures:
         right = ((0, 1), (3, 4), (5, 6))
         assert verify_graph(graph, ("lemma1",)) == {"lemma1": "pass"}
         assert right in full.sets and ((0, 1), (0, 3), (5, 6)) in full.sets
-        doctored = MinSetFamily(kind="ev", gamma=full.gamma,
-                                sets=tuple(m for m in full.sets if m != right), graph=graph)
+        doctored = family_of(graph, "ev", full.gamma, [m for m in full.sets if m != right])
         monkeypatch.setattr(census, "solve_families", lambda g, budget: (doctored, solve_pr(g)))
         assert verify_graph(graph, ("lemma1",)) == {"lemma1": "fail"}
 
@@ -387,18 +446,27 @@ class TestLemma1Failures:
     ])
     def test_each_step_invariant_is_checked(self, monkeypatch, mangle):
         graph = spider_222()
-        minimum = set(solve_ev(graph).sets) | {THREE_PAIRS, SAME_SPAN}
-        assert census._detangles_cleanly(graph, minimum, STAR) is True
+        edges = sorted({*graph.edges, *THREE_PAIRS, *SAME_SPAN})
+        incident = _incidence(edges)
+        minimum = minimum_of(edges, [*solve_ev(graph).sets, THREE_PAIRS, SAME_SPAN])
+        star = edge_mask(edges, STAR)
+        assert census._detangles_cleanly(graph, edges, incident, minimum, star) is True
         twin = census._twin
-        monkeypatch.setattr(census, "_twin", lambda g, m, e1, e2: (*mangle(*twin(g, m, e1, e2)[:2]), None, None))
-        assert census._detangles_cleanly(graph, minimum, STAR) is False
+
+        def mangled(g, edges, incident, members, a, b):
+            left, right = mangle(*(_edge_tuple(edges, m) for m in twin(g, edges, incident, members, a, b)[:2]))
+            return edge_mask(edges, left), edge_mask(edges, right), None, None
+
+        monkeypatch.setattr(census, "_twin", mangled)
+        assert census._detangles_cleanly(graph, edges, incident, minimum, star) is False
 
     def test_sharing_free_set_has_nothing_to_detangle(self):
         graph = spider_222()
-        minimum = set(solve_ev(graph).sets)
         members = ((0, 3), (1, 2), (5, 6))
-        assert members in minimum
-        assert census._detangles_cleanly(graph, minimum, members) is True
+        assert members in solve_ev(graph).sets
+        family = family_of(graph, "ev", 3, [members])
+        assert census._tangled(family) == []
+        assert census._check_lemma1(graph, family, None) is True
 
     def test_non_minimum_set_is_rejected_through_witness(self):
         # {(0,1), (1,2)} dominates P4 but has no private vertex at 0
@@ -406,7 +474,9 @@ class TestLemma1Failures:
         members = ((0, 1), (1, 2))
         with pytest.raises(NotMinimumWitness):
             detangle(graph, members)
-        assert census._detangles_cleanly(graph, set(solve_ev(graph).sets), members) is False
+        edges = graph.edges
+        minimum = minimum_of(edges, [*solve_ev(graph).sets, members])
+        assert census._detangles_cleanly(graph, edges, _incidence(edges), minimum, edge_mask(edges, members)) is False
 
 
 class TestCensusConfig:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +10,7 @@ from domicert import (
     CapabilityError,
     DomainError,
     Graph,
+    canonical_code,
     ev_dominates,
     gamma_ev_tree_fast,
     generate_connected_graphs,
@@ -280,7 +283,10 @@ class TestSearchKernel:
         def normalized(k, hits):
             return k, sorted((sorted(pick), span) for pick, span in hits)
 
-        got = normalized(*_min_edge_covers(g, DEFAULT_BUDGET, matching))
+        # a kernel hit's edges are the bits of its edge mask over g.edges
+        k, hits = _min_edge_covers(g, DEFAULT_BUDGET, matching)
+        edges = g.edges
+        got = normalized(k, [([e for j, e in enumerate(edges) if pick >> j & 1], span) for pick, span in hits])
         assert got == normalized(*min_edge_covers_sorted(g, matching))
 
     @staticmethod
@@ -435,3 +441,23 @@ class TestTreeFastPath:
             n = rng.randint(16, 300)
             g = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)], n)
             assert gamma_ev_tree_fast(g) == gamma_ev_tree_triples(g)
+
+
+class TestNoCyclicGarbage:
+    # the recursive searches are closures that reach themselves; each
+    # unbinds itself when done, so a solve leaves nothing for the cyclic
+    # collector, which would otherwise run full collections over a census
+    @pytest.mark.parametrize("graph", [spider_222(), pendant_cycle(), Graph(4, list(combinations(range(4), 2)))],
+                             ids=["spider_222", "pendant_cycle", "K4"])
+    def test_solves_leave_no_cycles(self, graph):
+        gc.collect()
+        gc.disable()
+        try:
+            solve_families(graph)
+            assert gc.collect() == 0
+            list(perfect_matchings_within(graph, range(graph.n)))
+            assert gc.collect() == 0
+            canonical_code(graph)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,10 +1,12 @@
 """The one-step lemma1 check, the claim check and the twinning primitives against slow referees.
 
 Every minimum ev-set of every tree with n <= 10 and every connected graph
-with n <= 6 is swept; sets with a sharing pair go through both lemma1
-checks. The census twins each set once and the referee replays each whole
-chain, so on families with one set removed, where chains break, the two
-are compared per graph, and must agree on failing verdicts too.
+with n <= 6 is swept; sets with a sharing pair go through the census's
+bitmask lemma1 check, the former check over sorted tuples and the
+replaying referee. The census twins each set once and the referee
+replays each whole chain, so on families with one set removed, where
+chains break, the three are compared per graph, and must agree on
+failing verdicts too.
 """
 
 from __future__ import annotations
@@ -26,8 +28,17 @@ from domicert import (
     solve_ev,
 )
 from domicert.census import _check_lemma1, _detangles_cleanly
+from domicert.twinning import _incidence
 
-from .oracles import claim_holds_naive, detangles_cleanly_referee, private_vertex_naive, sharing_pairs_naive
+from .conftest import edge_mask, family_of, minimum_of
+from .oracles import (
+    claim_holds_naive,
+    detangles_cleanly_referee,
+    detangles_cleanly_tuples,
+    lemma1_tuples,
+    private_vertex_naive,
+    sharing_pairs_naive,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +54,7 @@ def sharing_sets(families):
 
 
 def _without(ev: MinSetFamily, dropped) -> MinSetFamily:
-    return MinSetFamily(kind=ev.kind, gamma=ev.gamma, sets=tuple(s for s in ev.sets if s != dropped),
-                        graph=ev.graph)
+    return family_of(ev.graph, ev.kind, ev.gamma, [s for s in ev.sets if s != dropped])
 
 
 def _assert_private_vertices_agree(graph: Graph, members) -> None:
@@ -63,7 +73,10 @@ class TestLemma1Check:
         # minimum ev-sets with a sharing pair, over the swept graphs
         assert len(sharing_sets) == 338
         for g, ev, m in sharing_sets:
-            assert _detangles_cleanly(g, set(ev.sets), m) is detangles_cleanly_referee(g, ev, m) is True
+            edges = g.edges
+            mask = edge_mask(edges, m)
+            assert _detangles_cleanly(g, edges, _incidence(edges), minimum_of(edges, ev.sets), mask) is True
+            assert detangles_cleanly_tuples(g, set(ev.sets), m) is detangles_cleanly_referee(g, ev, m) is True
 
     def test_same_verdict_as_referee_with_a_set_removed(self, families):
         # a chain that breaks at a later step fails the census check at
@@ -75,6 +88,7 @@ class TestLemma1Check:
                 if not tangled:
                     continue
                 verdict = _check_lemma1(g, family, None)
+                assert verdict is lemma1_tuples(g, family, None)
                 assert verdict is all(detangles_cleanly_referee(g, family, m) for m in tangled)
                 verdicts.append(verdict)
         assert (len(verdicts), verdicts.count(False)) == (1286, 536)
