@@ -53,7 +53,7 @@ from .graphs import (
     parse_edge_list,
     perfect_matchings_within,
 )
-from .twinning import _claim_holds, _first_sharing_pair, _incidence, _sharing_pairs, _twin
+from .twinning import _claim_holds, _first_sharing_pair, _sharing_pairs, _twin
 
 TREES = "trees"
 CONNECTED = "connected_graphs"
@@ -326,20 +326,15 @@ def _check_cor_general2(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> boo
 
 
 def _check_claim(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    tangled = _tangled(ev)
-    if not tangled:
-        return True
-    edges = graph.edges
-    incident = _incidence(edges)
-    return all(_claim_holds(edges, incident, members) for members in tangled)
+    # the edge index is built only for a family with a tangled member
+    return all(_claim_holds(*ev.index, members) for members in _tangled(ev))
 
 
 def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
     tangled = _tangled(ev)
     if not tangled:
         return True
-    edges = graph.edges
-    incident = _incidence(edges)
+    edges, incident = ev.index
     # a member that is a matching has no sharing pair
     pairs = {members: _sharing_pairs(edges, incident, members) for members in tangled}
     minimum = {members: (span, pairs.get(members, 0)) for members, span in zip(ev.masks, ev.spans)}

@@ -6,29 +6,28 @@ when every vertex outside D has a neighbor inside D (membership alone
 does not make a vertex dominated), and paired-dominating when it is
 dominating and the subgraph it induces has a perfect matching.
 
-Both solvers run one search over edge coverage masks. A paired set D is
-the span V(M) of a matching M, and D dominates exactly when M's
-coverages union to every vertex, so the paired solver searches for
-ev-dominating matchings (edges with pairwise disjoint endpoints) and
-returns their distinct spans. Each solver sweeps the number of edges
-upward and collects every feasible choice at the first size that admits
-one. ``solve_families`` reads both families off one ev search: the
-minimum ev-sets that are matchings span the minimum paired sets whenever
-any of them is a matching, and only when none is (gamma_pr would then
-differ from 2 * gamma_ev) does it run the paired search too, so its
-answer is exact without assuming that identity. Each hit is two
-bitmasks, its edges over ``graph.edges`` and the vertices they span: a
-hit of k edges is a matching exactly when 2k span bits are set, and the
-distinct spans are the paired sets. The families keep these masks.
+Both families come from one search over edge coverage masks. It sweeps
+the number of edges upward and collects every ev-dominating choice at
+the first size that admits one; each hit is two bitmasks, its edges over
+``graph.edges`` and the vertices they span, so a hit of k edges is a
+matching exactly when 2k span bits are set. A paired set D is the span
+V(M) of a matching M, and D dominates exactly when M's coverages union
+to every vertex. Some minimum ev-set is a matching: if members pa and pb
+share p, minimality leaves pa a vertex y that no other member covers;
+pb covers N[p], so y is a neighbor of a outside N[p] and no member's
+endpoint. Swapping pa for ay keeps the set ev-dominating and its size
+and leaves fewer pairs of members that share a vertex. So gamma_pr =
+2 * gamma_ev, and the minimum paired sets are the distinct spans of the
+minimum ev-sets that are matchings: ``solve_families`` reads them off
+the ev search, and ``solve_pr`` is its second half.
 
 The search answers one edge from the edges that cover every vertex. For
 more edges it branches on the uncovered vertex that the fewest allowed
-edges cover. The paired search branches on the same vertex and only
-skips more edges, so up to the ev search's size it visits a subset of
-the ev search's nodes. Search nodes are counted against a budget so a
-runaway search surfaces as CapabilityError instead of a silent hang: the
+edges cover. Search nodes are counted against a budget so a runaway
+search surfaces as CapabilityError instead of a silent hang: the
 one-edge answer is one node, and so is the empty choice at each larger
-size and each edge added to a choice.
+size and each edge added to a choice. All three solvers spend the same
+nodes on a graph.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ class MinSetFamily:
     itself. ``sets`` is the view for printing and records, built on first
     use: a lexicographically sorted tuple of members, each itself a
     sorted tuple (of edges for kind "ev", of vertices for kind "paired").
+    ``index`` is ``(graph.edges, _incidence(graph.edges))``, built once.
     """
 
     kind: str
@@ -64,10 +64,14 @@ class MinSetFamily:
     graph: Graph
 
     @cached_property
+    def index(self) -> tuple[tuple[Edge, ...], list[int]]:
+        edges = self.graph.edges
+        return edges, _incidence(edges)
+
+    @cached_property
     def sets(self) -> tuple[tuple, ...]:
         if self.kind == "ev":
-            edges = self.graph.edges
-            members = [_edge_tuple(edges, mask) for mask in self.masks]
+            members = [_edge_tuple(self.index[0], mask) for mask in self.masks]
         else:
             members = [tuple([*_iter_bits(mask)]) for mask in self.masks]
         members.sort()
@@ -131,27 +135,29 @@ def is_paired_dominating_set(graph: Graph, vertices) -> bool:
 
 def solve_ev(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
     """All minimum ev-dominating sets."""
-    return _ev_family(graph, *_min_edge_covers(graph, budget, matching=False))
+    return _ev_family(graph, *_min_edge_covers(graph, budget))
 
 
 def solve_pr(graph: Graph, budget: int = DEFAULT_BUDGET) -> MinSetFamily:
-    """All minimum paired-dominating sets, as spans of minimum ev-dominating matchings."""
-    k, hits = _min_edge_covers(graph, budget, matching=True)
-    return _pr_family(graph, k, [span for _, span in hits])
+    """All minimum paired-dominating sets: ``solve_families(graph, budget)[1]``."""
+    return solve_families(graph, budget)[1]
 
 
 def solve_families(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[MinSetFamily, MinSetFamily]:
-    """``(solve_ev(graph), solve_pr(graph))``, both from the ev search.
+    """``(solve_ev(graph), solve_pr(graph))`` from one ev search.
 
-    Raises CapabilityError exactly when either solver would on its own
-    with the same budget.
+    The paired sets are the spans of the minimum ev-sets that are
+    matchings, and some minimum ev-set is one (see the module docstring).
+    A graph where none is raises InvariantViolation: no ``Graph`` has such
+    coverage masks, so it means a bug. Raises CapabilityError exactly when
+    ``solve_ev`` would with the same budget.
     """
-    ev = _ev_family(graph, *_min_edge_covers(graph, budget, matching=False))
-    matchings = [span for span in ev.spans if span.bit_count() == 2 * ev.gamma]
-    if not matchings:
-        # then gamma_pr != 2 * gamma_ev, which the census checks, not assumes
-        return ev, solve_pr(graph, budget)
-    return ev, _pr_family(graph, ev.gamma, matchings)
+    ev = _ev_family(graph, *_min_edge_covers(graph, budget))
+    gamma = 2 * ev.gamma
+    spans = tuple(sorted({span for span in ev.spans if span.bit_count() == gamma}))
+    if not spans:
+        raise InvariantViolation(f"no minimum ev-set is a matching on the graph with edges {graph.edges}")
+    return ev, MinSetFamily(kind="paired", gamma=gamma, masks=spans, spans=spans, graph=graph)
 
 
 def spanned_vertices(edges) -> frozenset[int]:
@@ -226,12 +232,7 @@ def _ev_family(graph: Graph, k: int, hits) -> MinSetFamily:
     return MinSetFamily(kind="ev", gamma=k, masks=masks, spans=spans, graph=graph)
 
 
-def _pr_family(graph: Graph, k: int, spans) -> MinSetFamily:
-    masks = tuple(sorted(set(spans)))
-    return MinSetFamily(kind="paired", gamma=2 * k, masks=masks, spans=masks, graph=graph)
-
-
-def _min_edge_covers(graph: Graph, budget: int, matching: bool):
+def _min_edge_covers(graph: Graph, budget: int):
     # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
     # each an (edge mask, span mask) pair, where bit j of the edge mask is
     # graph.edges[j]: a maximal matching has at most n // 2 edges and its
@@ -249,12 +250,7 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     # position carries the largest coverage and bounds what the slots can
     # cover. No smaller k had a hit, so no node has nothing left to cover.
     # The k = 1 answer spends one unit of the budget and each call of
-    # descend one more. The matching search also blocks the edges that
-    # meet a chosen edge, but picks its vertex from the allowed edges
-    # alone, as the ev search does, so up to the ev search's last size it
-    # visits a subset of the ev search's nodes: a finished ev search whose
-    # hits include a matching also certifies the matching search's budget,
-    # and solve_families runs out exactly when solve_ev or solve_pr would.
+    # descend one more.
     _require_solvable(graph)
     if budget < 1:
         raise CapabilityError(f"search budget of {budget} nodes exhausted")
@@ -280,11 +276,10 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
     for x in range(n):
         for w in _iter_bits(graph.closed_nbr_bits(x)):
             options[w] |= touching[x]
-    meets = [touching[edges[j][0]] | touching[edges[j][1]] for j in order] if matching else [0] * len(order)
     left = budget - 1
     hits: list[tuple[int, int]] = []
 
-    def descend(slots: int, allowed: int, uncovered: int, used: int, blocked: int, picked: int) -> None:
+    def descend(slots: int, allowed: int, uncovered: int, used: int, picked: int) -> None:
         nonlocal left
         left -= 1
         if left < 0:
@@ -293,14 +288,13 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
             return
         rest = uncovered
         if slots == 1:
-            fits = allowed & ~blocked
-            while rest and fits:
+            while rest and allowed:
                 low = rest & -rest
-                fits &= options[low.bit_length() - 1]
+                allowed &= options[low.bit_length() - 1]
                 rest ^= low
-            while fits:
-                low = fits & -fits
-                fits ^= low
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
                 i = low.bit_length() - 1
                 hits.append((picked | pbit[i], used | ends[i]))
             return
@@ -318,22 +312,20 @@ def _min_edge_covers(graph: Graph, budget: int, matching: bool):
             low = fewest & -fewest
             fewest ^= low
             allowed ^= low
-            if low & blocked:
-                continue
             i = low.bit_length() - 1
-            descend(slots - 1, allowed, uncovered & outside[i], used | ends[i], blocked | meets[i], picked | pbit[i])
+            descend(slots - 1, allowed, uncovered & outside[i], used | ends[i], picked | pbit[i])
 
     everything = (1 << len(order)) - 1
     try:
         for k in range(2, n // 2 + 1):
-            descend(k, everything, full, 0, 0, 0)
+            descend(k, everything, full, 0, 0)
             if hits:
                 return k, hits
     except RecursionError:
         raise CapabilityError(f"search for {k} edges goes deeper than the recursion limit") from None
     finally:
         del descend  # descend reaches itself through its closure; unbinding it leaves no cycle to collect
-    raise InvariantViolation("no ev-dominating matching up to n // 2 edges")
+    raise InvariantViolation("no ev-dominating set up to n // 2 edges")
 
 
 def _require_solvable(graph: Graph) -> None:
@@ -342,6 +334,15 @@ def _require_solvable(graph: Graph) -> None:
     for v in range(graph.n):
         if not graph.nbr_bits[v]:
             raise DomainError(f"vertex {v} is isolated")
+
+
+def _incidence(edges) -> list[int]:
+    # per vertex, the mask of the edges that meet it
+    incident = [0] * (1 + max((v for _, v in edges), default=-1))
+    for j, (u, v) in enumerate(edges):
+        incident[u] |= 1 << j
+        incident[v] |= 1 << j
+    return incident
 
 
 def _edge_tuple(edges, mask: int) -> tuple[Edge, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .domination import Edge, _edge_tuple, _normalized, _require_edge
+from .domination import Edge, _edge_tuple, _incidence, _normalized, _require_edge
 from .errors import InvariantViolation, NotMinimumWitness
 from .graphs import Graph, normalize_edge
 
@@ -133,18 +133,9 @@ def detangle(graph: Graph, edges) -> DetangleResult:
 # The cores take a set as a bitmask ``members`` over the indices of a
 # sorted, duplicate-free edge list ``edges``, and ``incident[v]``, the
 # mask of the edges that meet vertex v (``_incidence``). The census runs
-# them on the graph's edge list; the public functions above check their
-# tuple arguments once and convert at this boundary. Bit order is
-# lexicographic edge order.
-def _incidence(edges) -> list[int]:
-    # per vertex, the mask of the edges that meet it
-    incident = [0] * (1 + max((v for _, v in edges), default=-1))
-    for j, (u, v) in enumerate(edges):
-        incident[u] |= 1 << j
-        incident[v] |= 1 << j
-    return incident
-
-
+# them on an ev family's ``index``, the graph's edge list and its
+# incidence; the public functions above check their tuple arguments once
+# and convert at this boundary. Bit order is lexicographic edge order.
 def _on_graph(graph: Graph, members) -> tuple[tuple[Edge, ...], list[int], int]:
     # normalized members, each checked to be a graph edge, as the cores
     # take them: the graph's edge list, its incidence, and their mask
@@ -160,8 +151,12 @@ def _on_graph(graph: Graph, members) -> tuple[tuple[Edge, ...], list[int], int]:
 
 def _loose(edges) -> tuple[list[Edge], list[int], int]:
     # arbitrary edges, not necessarily of any graph, repeats dropped, as
-    # the cores take them: their own sorted list, its incidence, and all
+    # the cores take them: their own sorted list, its incidence, and all.
+    # A negative vertex would index the incidence from its end; the first
+    # sorted edge holds the smallest vertex
     distinct = sorted({normalize_edge(u, v) for u, v in edges})
+    if distinct and distinct[0][0] < 0:
+        raise ValueError(f"vertex {distinct[0][0]} out of range")
     return distinct, _incidence(distinct), (1 << len(distinct)) - 1
 
 

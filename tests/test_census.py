@@ -36,8 +36,7 @@ from domicert import (
 )
 from domicert import census
 from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
-from domicert.domination import _edge_tuple
-from domicert.twinning import _incidence
+from domicert.domination import _edge_tuple, _incidence
 
 from .conftest import edge_mask, family_of, minimum_of, path_graph, pendant_cycle, spider_222
 from .oracles import (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from domicert import (
     CapabilityError,
     DomainError,
     Graph,
+    InvariantViolation,
     canonical_code,
     ev_dominates,
     gamma_ev_tree_fast,
@@ -158,7 +160,7 @@ class TestSolvePr:
             solve_pr(Graph(3, [(0, 1)]))
 
     @pytest.mark.parametrize("graph, nodes", [
-        (pendant_cycle(), 5), (spider_222(), 10), (path_graph(8), 4), (cycle_graph(7), 6),
+        (pendant_cycle(), 5), (spider_222(), 11), (path_graph(8), 4), (cycle_graph(7), 6),
     ], ids=BUDGET_IDS)
     def test_budget_exhaustion(self, graph, nodes):
         solve_pr(graph, budget=nodes)
@@ -188,9 +190,8 @@ class TestSolvePr:
 class _Distorted(Graph):
     """A tree with coverage masks no graph has: its one minimum ev-set is no matching.
 
-    Its edges (0,1) and (0,2) cover everything together, no two disjoint
-    edges do, and the matching (0,1), (3,4), (5,6) is the smallest one
-    that does, so gamma_pr = 6 != 2 * gamma_ev.
+    Its edges (0,1) and (0,2) cover everything together, and no two
+    disjoint edges do.
     """
 
     CLOSED = (0b1, 0b11010, 0b1100100, 0b1100, 0b10000, 0b100000, 0b1000000)
@@ -222,11 +223,13 @@ class TestSolveFamilies:
                 assert solve_families(g) == (solve_ev(g), solve_pr(g))
 
     def test_raises_exactly_when_either_solver_does(self):
-        graphs = [pendant_cycle(), spider_222(), path_graph(8), cycle_graph(7), _Distorted()]
+        # all three run the one ev search, so they finish at the same budgets
+        graphs = [pendant_cycle(), spider_222(), path_graph(8), cycle_graph(7)]
         graphs += [g for n in range(2, 9) for g in generate_trees(n)]
         for g in graphs:
             for budget in range(1, 61):
-                alone = _finishes(solve_ev, g, budget) and _finishes(solve_pr, g, budget)
+                alone = _finishes(solve_ev, g, budget)
+                assert _finishes(solve_pr, g, budget) is alone
                 assert _finishes(solve_families, g, budget) is alone
 
     @pytest.mark.parametrize("graph, nodes", [
@@ -237,13 +240,14 @@ class TestSolveFamilies:
         with pytest.raises(CapabilityError):
             solve_families(graph, budget=nodes - 1)
 
-    def test_exact_when_no_minimum_ev_set_is_a_matching(self):
+    def test_raises_when_no_minimum_ev_set_is_a_matching(self):
+        # twinning turns a minimum ev-set into a matching on every graph, so
+        # only coverage masks no graph has get here, and the error names them
         g = _Distorted()
-        ev, pr = solve_families(g)
-        assert (ev.gamma, ev.sets) == (2, (((0, 1), (0, 2)),))
-        assert (pr.gamma, pr.sets) == (6, ((0, 1, 3, 4, 5, 6),))
-        assert (ev, pr) == (solve_ev(g), solve_pr(g))
-
+        assert solve_ev(g).sets == (((0, 1), (0, 2)),)
+        for solve in (solve_families, solve_pr):
+            with pytest.raises(InvariantViolation, match=re.escape(f"with edges {g.edges}")):
+                solve(g)
 
     def test_matches_naive_on_random_connected(self):
         pytest.importorskip("hypothesis")
@@ -279,28 +283,35 @@ class TestSearchKernel:
         return graphs + [g for n in range(2, connected_max + 1) for g in generate_connected_graphs(n)]
 
     @staticmethod
-    def _check_against_referee(g, matching):
+    def _check_against_referee(g, paired):
         def normalized(k, hits):
             return k, sorted((sorted(pick), span) for pick, span in hits)
 
+        if paired:
+            # the paired sets read off the ev search are the spans the
+            # referee's search over matchings alone finds
+            k, hits = min_edge_covers_sorted(g, True)
+            pr = solve_pr(g)
+            assert (pr.gamma, pr.masks) == (2 * k, tuple(sorted({span for _, span in hits})))
+            return
         # a kernel hit's edges are the bits of its edge mask over g.edges
-        k, hits = _min_edge_covers(g, DEFAULT_BUDGET, matching)
+        k, hits = _min_edge_covers(g, DEFAULT_BUDGET)
         edges = g.edges
         got = normalized(k, [([e for j, e in enumerate(edges) if pick >> j & 1], span) for pick, span in hits])
-        assert got == normalized(*min_edge_covers_sorted(g, matching))
+        assert got == normalized(*min_edge_covers_sorted(g, False))
 
     @staticmethod
-    def _nodes(g, matching) -> int:
-        """The smallest budget with which the kernel finishes."""
+    def _nodes(solve, g) -> int:
+        """The smallest budget with which the solve finishes."""
         budget = 1
-        while not _finishes(lambda graph, b: _min_edge_covers(graph, b, matching), g, budget):
+        while not _finishes(solve, g, budget):
             budget += 1
         return budget
 
-    @pytest.mark.parametrize("matching", [False, True], ids=["ev", "matching"])
-    def test_same_sorted_hits_and_spans(self, matching):
+    @pytest.mark.parametrize("paired", [False, True], ids=["ev", "pr"])
+    def test_same_sorted_hits_and_spans(self, paired):
         for g in self._graphs(12, 7):
-            self._check_against_referee(g, matching)
+            self._check_against_referee(g, paired)
 
     def test_same_sorted_hits_on_random_graphs(self):
         pytest.importorskip("hypothesis")
@@ -319,29 +330,24 @@ class TestSearchKernel:
 
         @settings(max_examples=100, deadline=None)
         @given(graphs(), st.booleans())
-        def check(g, matching):
-            self._check_against_referee(g, matching)
+        def check(g, paired):
+            self._check_against_referee(g, paired)
 
         check()
 
-    @pytest.mark.parametrize("matching, total", [(False, 705), (True, 690)], ids=["ev", "matching"])
-    def test_smallest_finishing_budget_total(self, matching, total):
-        assert sum(self._nodes(g, matching) for g in self._graphs(9, 6)) == total
-
-    def test_matching_search_visits_no_more_nodes(self):
-        # it branches on the same vertices as the ev search and skips more
-        # edges, so up to the ev search's size it visits a subset of its nodes
-        for g in self._graphs(9, 6):
-            k, hits = _min_edge_covers(g, DEFAULT_BUDGET, False)
-            if any(span.bit_count() == 2 * k for _, span in hits):
-                assert self._nodes(g, True) <= self._nodes(g, False)
+    # solve_pr spends the kernel's nodes, as it runs the one ev search
+    @pytest.mark.parametrize("solve", [_min_edge_covers, solve_pr], ids=["ev", "pr"])
+    def test_smallest_finishing_budget_total(self, solve):
+        assert sum(self._nodes(solve, g) for g in self._graphs(9, 6)) == 705
 
     def test_reach_on_prufer_trees(self):
         # the former kernel, over one global edge order, exhausts this budget on each
         rng = random.Random(5)
         for _ in range(5):
             g = tree_from_prufer([rng.randrange(36) for _ in range(34)], 36)
-            assert solve_ev(g, budget=10**5).gamma == gamma_ev_tree_fast(g)
+            gamma = gamma_ev_tree_fast(g)
+            assert solve_ev(g, budget=10**5).gamma == gamma
+            assert solve_pr(g, budget=10**5).gamma == 2 * gamma
 
 
 class TestSearchDepth:

@@ -28,7 +28,7 @@ from domicert import (
     solve_ev,
 )
 from domicert.census import _check_lemma1, _detangles_cleanly
-from domicert.twinning import _incidence
+from domicert.domination import _incidence
 
 from .conftest import edge_mask, family_of, minimum_of
 from .oracles import (

@@ -35,6 +35,11 @@ class TestSharingPairs:
         # a repeated edge, in either orientation, is one member
         assert sharing_pairs([(0, 1), (1, 0), (1, 2)]) == 1
 
+    def test_rejects_negative_vertex(self):
+        # a negative id would index the incidence list from its far end
+        with pytest.raises(ValueError, match="vertex -1 out of range"):
+            sharing_pairs([(-1, 0), (2, 3)])
+
 
 class TestCheckClaim:
     def test_four_vertex_path_violates(self):
@@ -61,6 +66,10 @@ class TestCheckClaim:
         from domicert import Graph
         assert check_claim(Graph(4, [(0, 1), (2, 3)]), [(0, 1), (1, 0), (2, 3)]) is True
         assert check_claim(path_graph(4), [(0, 1), (1, 2), (2, 1), (3, 2)]) is False
+
+    def test_rejects_negative_vertex(self):
+        with pytest.raises(ValueError, match="vertex -1 out of range"):
+            check_claim(path_graph(4), [(-1, 0), (0, 1), (2, 3)])
 
     def test_holds_on_all_minimum_sets_of_small_trees(self):
         for n in range(2, 9):
