@@ -61,7 +61,7 @@ CONNECTED = "connected_graphs"
 # connected classes per vertex count, for the generator's cross-check and range
 _CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
-TREE_GENERATION_BOUND = 16
+TREE_GENERATION_BOUND = 20
 CONNECTED_GENERATION_BOUND = max(_CONNECTED_CLASS_COUNTS)
 # largest census pool; a fixed cap rather than the host's CPU count, so a
 # configuration is valid or not the same way on every machine
@@ -184,15 +184,16 @@ def _split_first_subtree(levels):
 
 
 def _levels_to_graph(levels) -> Graph:
-    edges = []
-    stack: list[int] = []
-    for i, lev in enumerate(levels):
-        while len(stack) > lev:
-            stack.pop()
-        if stack:
-            edges.append((stack[-1], i))
-        stack.append(i)
-    return Graph(len(levels), edges)
+    # in preorder, the parent of vertex i is the latest vertex one level up
+    bits = [0] * len(levels)
+    latest = [0] * len(levels)  # per level, the latest vertex on it so far
+    for i in range(1, len(levels)):
+        level = levels[i]
+        parent = latest[level - 1]
+        bits[parent] |= 1 << i
+        bits[i] = 1 << parent
+        latest[level] = i
+    return _from_nbr_bits(tuple(bits))
 
 
 # --- connected graph generation -------------------------------------------
@@ -327,11 +328,11 @@ def _check_cor_general2(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> boo
 
 def _check_claim(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
     # the edge index is built only for a family with a tangled member
-    return all(_claim_holds(*ev.index, members) for members in _tangled(ev))
+    return all(_claim_holds(*ev.index, members) for members in ev.tangled)
 
 
 def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    tangled = _tangled(ev)
+    tangled = ev.tangled
     if not tangled:
         return True
     edges, incident = ev.index
@@ -339,14 +340,6 @@ def _check_lemma1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
     pairs = {members: _sharing_pairs(edges, incident, members) for members in tangled}
     minimum = {members: (span, pairs.get(members, 0)) for members, span in zip(ev.masks, ev.spans)}
     return all(_detangles_cleanly(graph, edges, incident, minimum, members) for members in tangled)
-
-
-def _tangled(ev: MinSetFamily) -> list[int]:
-    # the members with a sharing pair: gamma edges that span fewer than
-    # 2 * gamma vertices. A member spanning 2 * gamma is a matching, with
-    # nothing to detangle and no three edges forming a path or a triangle
-    limit = 2 * ev.gamma
-    return [members for members, span in zip(ev.masks, ev.spans) if span.bit_count() < limit]
 
 
 def _detangles_cleanly(graph: Graph, edges, incident, minimum: dict[int, tuple[int, int]], members: int) -> bool:

@@ -54,7 +54,8 @@ class MinSetFamily:
     itself. ``sets`` is the view for printing and records, built on first
     use: a lexicographically sorted tuple of members, each itself a
     sorted tuple (of edges for kind "ev", of vertices for kind "paired").
-    ``index`` is ``(graph.edges, _incidence(graph.edges))``, built once.
+    ``index`` is ``(graph.edges, _incidence(graph.edges))``, built once,
+    and so is ``tangled``, the ev members with a sharing pair.
     """
 
     kind: str
@@ -67,6 +68,14 @@ class MinSetFamily:
     def index(self) -> tuple[tuple[Edge, ...], list[int]]:
         edges = self.graph.edges
         return edges, _incidence(edges)
+
+    @cached_property
+    def tangled(self) -> list[int]:
+        # gamma edges that span fewer than 2 * gamma vertices. A member
+        # spanning 2 * gamma is a matching, with nothing to detangle and no
+        # three edges forming a path or a triangle
+        limit = 2 * self.gamma
+        return [members for members, span in zip(self.masks, self.spans) if span.bit_count() < limit]
 
     @cached_property
     def sets(self) -> tuple[tuple, ...]:
@@ -236,9 +245,9 @@ def _min_edge_covers(graph: Graph, budget: int):
     # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
     # each an (edge mask, span mask) pair, where bit j of the edge mask is
     # graph.edges[j]: a maximal matching has at most n // 2 edges and its
-    # span dominates a graph without isolated vertices. k = 1 is the
-    # prefix of edges that cover every vertex, read before anything else
-    # is built. For larger k, a depth-first search passes the allowed
+    # span dominates a graph without isolated vertices. k = 1 is the edges
+    # that cover every vertex, read off the coverage counts before anything
+    # else is built. For larger k, a depth-first search passes the allowed
     # edges (a bitmask over positions in the search order) and the still
     # uncovered vertices down, and branches on the uncovered vertex with
     # the fewest allowed options, the edges whose coverage holds it, as
@@ -251,31 +260,47 @@ def _min_edge_covers(graph: Graph, budget: int):
     # cover. No smaller k had a hit, so no node has nothing left to cover.
     # The k = 1 answer spends one unit of the budget and each call of
     # descend one more.
+    #
+    # Set-up is one pass: each closed neighbourhood is read once and every
+    # coverage is the union of two; the positions are sorted on the
+    # coverage counts by a C-level key; one loop over the positions fills
+    # the per-position tables and each vertex's mask of touching positions,
+    # and the option masks are read off those with inline bit loops.
     _require_solvable(graph)
     if budget < 1:
         raise CapabilityError(f"search budget of {budget} nodes exhausted")
     n = graph.n
     edges = graph.edges
-    cover = [graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v) for u, v in edges]
-    # a stable sort: equal coverage keeps the lexicographic edge order
-    order = sorted(range(len(edges)), key=lambda j: -cover[j].bit_count())
-    sizes = [cover[j].bit_count() for j in order]
-    ends = [1 << edges[j][0] | 1 << edges[j][1] for j in order]
-    if sizes[0] == n:
-        return 1, [(1 << j, ends[i]) for i, j in enumerate(order[:sizes.count(n)])]
-    pbit = [1 << j for j in order]  # the edge-mask bit of each position
-    sizes.append(0)  # the bound for an empty allowed mask, whose lowest position reads -1
+    m = len(edges)
+    closed = [graph.closed_nbr_bits(v) for v in range(n)]
+    cover = [closed[u] | closed[v] for u, v in edges]
+    counts = [c.bit_count() for c in cover]
+    if n in counts:
+        return 1, [(1 << j, 1 << u | 1 << v) for j, (u, v) in enumerate(edges) if counts[j] == n]
+    # stable under reverse too: equal coverage keeps the lexicographic edge order
+    order = sorted(range(m), key=counts.__getitem__, reverse=True)
     full = (1 << n) - 1
-    outside = [full ^ cover[j] for j in order]
+    sizes = []
+    ends = []
+    pbit = []  # the edge-mask bit of each position
+    outside = []
     touching = [0] * n
     for i, j in enumerate(order):
         u, v = edges[j]
+        sizes.append(counts[j])
+        ends.append(1 << u | 1 << v)
+        pbit.append(1 << j)
+        outside.append(full ^ cover[j])
         touching[u] |= 1 << i
         touching[v] |= 1 << i
+    sizes.append(0)  # the bound for an empty allowed mask, whose lowest position reads -1
     options = [0] * n  # an edge covers w when w is in the closed neighbourhood of an end
     for x in range(n):
-        for w in _iter_bits(graph.closed_nbr_bits(x)):
-            options[w] |= touching[x]
+        near, mine = closed[x], touching[x]
+        while near:
+            low = near & -near
+            near ^= low
+            options[low.bit_length() - 1] |= mine
     left = budget - 1
     hits: list[tuple[int, int]] = []
 
@@ -299,7 +324,7 @@ def _min_edge_covers(graph: Graph, budget: int):
                 hits.append((picked | pbit[i], used | ends[i]))
             return
         fewest = allowed
-        count = len(order) + 1
+        count = m + 1
         while rest:
             low = rest & -rest
             here = options[low.bit_length() - 1] & allowed
@@ -315,7 +340,7 @@ def _min_edge_covers(graph: Graph, budget: int):
             i = low.bit_length() - 1
             descend(slots - 1, allowed, uncovered & outside[i], used | ends[i], picked | pbit[i])
 
-    everything = (1 << len(order)) - 1
+    everything = (1 << m) - 1
     try:
         for k in range(2, n // 2 + 1):
             descend(k, everything, full, 0, 0)
@@ -331,9 +356,8 @@ def _min_edge_covers(graph: Graph, budget: int):
 def _require_solvable(graph: Graph) -> None:
     if graph.n < 2:
         raise DomainError("solver needs at least two vertices")
-    for v in range(graph.n):
-        if not graph.nbr_bits[v]:
-            raise DomainError(f"vertex {v} is isolated")
+    if 0 in graph.nbr_bits:
+        raise DomainError(f"vertex {graph.nbr_bits.index(0)} is isolated")
 
 
 def _incidence(edges) -> list[int]:

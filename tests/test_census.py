@@ -72,9 +72,11 @@ class TestTreeGeneration:
         assert len(got) == 1 and got[0].n == 1
 
     def test_every_output_is_a_tree(self):
-        for n in range(1, 11):
+        # generation builds each tree on its neighbour masks, unchecked
+        for n in range(1, 13):
             for g in generate_trees(n):
                 assert g.n == n and is_tree(g)
+                assert Graph(g.n, g.edges) == g
 
     def test_no_two_outputs_isomorphic(self):
         for n in range(1, 11):
@@ -99,7 +101,7 @@ class TestTreeGeneration:
 
     def test_bound(self):
         with pytest.raises(CapabilityError):
-            next(generate_trees(17))
+            next(generate_trees(21))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -399,7 +401,7 @@ class TestMaskChecksAgainstTupleReferees:
         total = tangled = 0
         # the trees come first, then the connected graphs
         for g, ev, pr in families[:sum(tree_class_count(n) for n in range(2, 13))]:
-            masks = census._tangled(ev)
+            masks = ev.tangled
             total += len(ev.masks)
             tangled += len(masks)
             assert [sharing_pairs_naive(m) > 0 for m in ev.sets] == [
@@ -464,7 +466,7 @@ class TestLemma1Failures:
         members = ((0, 3), (1, 2), (5, 6))
         assert members in solve_ev(graph).sets
         family = family_of(graph, "ev", 3, [members])
-        assert census._tangled(family) == []
+        assert family.tangled == []
         assert census._check_lemma1(graph, family, None) is True
 
     def test_non_minimum_set_is_rejected_through_witness(self):

@@ -335,9 +335,12 @@ class TestCensusCommand:
 
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
     def test_ctrl_c_stops_census_and_workers(self):
-        # SIGINT goes to the whole process group, as a terminal's Ctrl-C does
+        # SIGINT goes to the whole process group, as a terminal's Ctrl-C does.
+        # The child starts with SIGINT at its default handler, as from a
+        # terminal; a background job of a shell would hand it down ignored
         proc = python("-m", "domicert.cli", "census", "--family", "trees", "--n-min", "2",
-                      "--n-max", "15", "--workers", "2", start_new_session=True)
+                      "--n-max", "16", "--workers", "2", start_new_session=True,
+                      preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
             time.sleep(1)
             assert proc.poll() is None, "the census ended before it was interrupted"
