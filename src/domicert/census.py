@@ -10,17 +10,27 @@ in the census pool, and then checked. Once the checks are drained, the
 graphs counted per vertex count are cross-checked against independently
 known class counts.
 
-Check names:
+Check names. ``solve_families`` builds the paired family from the ev
+search, as the spans of the minimum ev-sets that are matchings, so three
+statements are theorems of that construction and their checks pass by
+it:
 
 * ``thm1``          2 * gamma_ev == gamma_pr
+* ``cor1``          a unique minimum ev-set forces a unique paired set
+* ``cor_general``   trees only: either uniqueness pins down the other
+                    family's set through spans and matchings. The ev =>
+                    paired half is cor1; the check tests the other half,
+                    paired unique => ev unique, as thm2 does
+
+The others are facts the census finds:
+
 * ``thm2``          trees only: ev-uniqueness and paired-uniqueness coincide
 * ``thm2_probe``    the thm2 equivalence tested on any graph; failures are
                     expected and recorded as findings, not bugs
-* ``cor1``          a unique minimum ev-set forces a unique paired set
-* ``cor_general``   trees only: either uniqueness pins down the other
-                    family's set through spans and matchings
 * ``cor_general2``  paired-uniqueness holds exactly when all minimum
-                    ev-sets span one common vertex set (the paired set)
+                    ev-sets span one common vertex set (the paired set);
+                    every paired set is an ev span, so the check tests
+                    that a unique paired set D is spanned by every ev-set
 * ``claim``         no three edges of a minimum ev-set form a path on four
                     vertices or a triangle
 * ``lemma1``        every minimum ev-set with a sharing pair twins into two
@@ -51,7 +61,6 @@ from .graphs import (
     emit_graph6,
     is_tree,
     parse_edge_list,
-    perfect_matchings_within,
 )
 from .twinning import _claim_holds, _first_sharing_pair, _sharing_pairs, _twin
 
@@ -59,7 +68,7 @@ TREES = "trees"
 CONNECTED = "connected_graphs"
 
 # connected classes per vertex count, for the generator's cross-check and range
-_CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+_CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117, 9: 261080}
 
 TREE_GENERATION_BOUND = 20
 CONNECTED_GENERATION_BOUND = max(_CONNECTED_CLASS_COUNTS)
@@ -294,36 +303,21 @@ def verify_graph(graph: Graph, checks, budget: int = DEFAULT_BUDGET) -> dict[str
     return _census_task(graph, _validated_checks(checks), budget)[1]
 
 
-def _check_thm1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    return 2 * ev.gamma == pr.gamma
+def _holds_by_construction(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    # thm1 and cor1: solve_families sets gamma_pr to 2 * gamma_ev, and a
+    # unique minimum ev-set is the one matching, whose span is then the one
+    # paired set; a graph with no matching among its minimum ev-sets raises
+    # InvariantViolation before any check runs
+    return True
 
 
 def _check_uniqueness_equivalence(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
     return (len(ev.masks) == 1) == (len(pr.masks) == 1)
 
 
-def _check_cor1(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    return len(ev.masks) != 1 or len(pr.masks) == 1
-
-
-def _check_cor_general(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    # either family unique: both are, the ev-set spans the paired set D and
-    # is the only perfect matching inside it. When 2 * gamma_ev == gamma_pr
-    # the perfect matchings of G[D] are exactly the minimum ev-sets that span
-    # D, as each has |D| / 2 edges and covers N[D], which is every vertex; so
-    # a unique ev-set spanning D is the only one. Otherwise they are listed
-    if len(ev.masks) != 1 and len(pr.masks) != 1:
-        return True
-    if not (len(ev.masks) == len(pr.masks) == 1 and ev.spans[0] == pr.masks[0]):
-        return False
-    return 2 * ev.gamma == pr.gamma or list(perfect_matchings_within(graph, pr.sets[0])) == [ev.sets[0]]
-
-
 def _check_cor_general2(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
-    spans = set(ev.spans)
-    if len(pr.masks) == 1:
-        return spans == {pr.masks[0]}
-    return len(spans) > 1
+    # every paired set is an ev span, so only a unique paired set can fail
+    return len(pr.masks) != 1 or len(set(ev.spans)) == 1
 
 
 def _check_claim(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
@@ -364,11 +358,12 @@ def _detangles_cleanly(graph: Graph, edges, incident, minimum: dict[int, tuple[i
 
 
 _CHECK_TABLE = {
-    "thm1": _check_thm1,
+    "thm1": _holds_by_construction,
     "thm2": _check_uniqueness_equivalence,
     "thm2_probe": _check_uniqueness_equivalence,
-    "cor1": _check_cor1,
-    "cor_general": _check_cor_general,
+    "cor1": _holds_by_construction,
+    # on trees; the ev => paired half holds by construction
+    "cor_general": _check_uniqueness_equivalence,
     "cor_general2": _check_cor_general2,
     "claim": _check_claim,
     "lemma1": _check_lemma1,

@@ -84,6 +84,20 @@ SPIDER_TEXT = """\
 """
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-long", action="store_true",
+                     help="also run the tests marked long: report pins of half-minute censuses")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-long"):
+        return
+    skip = pytest.mark.skip(reason="long; run with --run-long")
+    for item in items:
+        if "long" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture
 def tmp_graph_file(tmp_path):
     def write(text: str, name: str = "graph.edges"):

@@ -479,6 +479,16 @@ def detangles_cleanly_tuples(graph: Graph, minimum: set, members) -> bool:
                          and spanned_vertices(left) != spanned_vertices(right))
 
 
+def thm1_tuples(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The clause ``thm1`` stands for: the paired gamma is twice the ev gamma."""
+    return 2 * ev.gamma == pr.gamma
+
+
+def cor1_tuples(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
+    """The clause ``cor1`` stands for: a unique ev-set forces a unique paired set."""
+    return len(ev.sets) != 1 or len(pr.sets) == 1
+
+
 def cor_general_tuples(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
     """The census ``cor_general`` check over tuples, listing the perfect matchings each time."""
     if len(ev.sets) != 1 and len(pr.sets) != 1:

@@ -31,6 +31,7 @@ from domicert import (
     solve_ev,
     solve_families,
     solve_pr,
+    spanned_vertices,
     tree_class_count,
     verify_graph,
 )
@@ -43,12 +44,14 @@ from .oracles import (
     claim_tuples,
     components_union_find,
     connected_classes_labeled,
+    cor1_tuples,
     cor_general2_blocks,
     cor_general2_tuples,
     cor_general_blocks,
     cor_general_tuples,
     lemma1_tuples,
     sharing_pairs_naive,
+    thm1_tuples,
     tree_classes_prufer,
     tree_classes_prufer_ordered,
     tree_from_prufer,
@@ -174,7 +177,7 @@ class TestConnectedGeneration:
 
     def test_bounds(self):
         with pytest.raises(CapabilityError):
-            next(generate_connected_graphs(9))
+            next(generate_connected_graphs(10))
         with pytest.raises(CapabilityError):
             next(generate_connected_graphs(1))
 
@@ -260,7 +263,8 @@ class TestPinnedCodes:
 class TestPinnedReports:
     # report sha256 of the censuses the benchmark runs, of trees n=13..14
     # and of the shared n=8 probe, taken from earlier output: the report
-    # bytes must not move
+    # bytes must not move. The long pins, trees n=17..18 and connected n=9,
+    # run only with --run-long
 
     @staticmethod
     def _digest(report) -> str:
@@ -281,6 +285,21 @@ class TestPinnedReports:
 
     def test_probe_at_eight(self, probe_at_8):
         assert self._digest(probe_at_8) == "235c33a2f1978d0987371a8c99d779b8d1b4b52ec799c0dcabbaaeee64dba20b"
+
+    @pytest.mark.long
+    def test_trees_seventeen_to_eighteen(self):
+        report = run_census(CensusConfig(family="trees", n_min=17, n_max=18, checks=STANDARD_CHECKS,
+                                         worker_count=2))
+        assert self._digest(report) == "1d3156ae24374005d0245a6360f7d9b3a23053279cb57aaedbdb8f97c7bb22ed"
+
+    @pytest.mark.long
+    def test_connected_nine_all_checks(self):
+        # every standard check passes; the 53 counterexamples are thm2_probe findings
+        report = run_census(CensusConfig(family="connected_graphs", n_min=9, n_max=9, checks=CHECK_NAMES,
+                                         worker_count=2))
+        verdicts = report.totals["verdicts"]
+        assert [verdicts[name]["fail"] for name in CHECK_NAMES] == [0] * 7 + [53]
+        assert self._digest(report) == "db37b63d3f028661816363e2a2d1a29ee14e7e9ac8f324c6f4f19da5f486cf18"
 
 
 class TestVerifyGraph:
@@ -328,12 +347,11 @@ def _doctored(sets: tuple) -> list[tuple]:
     return sorted({*combinations(sets, 1), *combinations(sets, 2), sets})
 
 
-def _k4_families(gamma_ev: int = 1):
+def _k4_families():
     # the ev-set spans the paired set, but K4 has three perfect matchings.
-    # K4's gamma_ev is 1, so 2 * gamma_ev != gamma_pr and cor_general cannot
-    # read the matchings of G[D] off the family: it lists them
+    # K4's gamma_ev is 1, so solve_families never builds these families
     k4 = Graph(4, list(combinations(range(4), 2)))
-    return k4, family_of(k4, "ev", gamma_ev, [((0, 1), (2, 3))]), family_of(k4, "paired", 4, [(0, 1, 2, 3)])
+    return k4, family_of(k4, "ev", 2, [((0, 1), (2, 3))]), family_of(k4, "paired", 4, [(0, 1, 2, 3)])
 
 
 def _census_families(tree_max: int, connected_max: int):
@@ -345,12 +363,17 @@ def _census_families(tree_max: int, connected_max: int):
 class TestCorollaryChecks:
     # every census graph passes both checks, so they are driven to fail on
     # families doctored from the real ones and held to the former
-    # overlapping-block statements and to the former tuple-based checks
+    # overlapping-block statements and to the former tuple-based checks.
+    # Each doctored family is one solve_families could build: some of the
+    # minimum ev-sets, and as paired sets their spans that are matchings
     def test_agree_with_block_referees_on_doctored_families(self):
-        cases = [_k4_families()]
+        cases = []
         for g, ev, pr in _census_families(6, 5):
-            cases += [(g, family_of(g, "ev", ev.gamma, ev_sets), family_of(g, "paired", pr.gamma, pr_sets))
-                      for ev_sets in _doctored(ev.sets) for pr_sets in _doctored(pr.sets)]
+            for ev_sets in _doctored(ev.sets):
+                doctored = family_of(g, "ev", ev.gamma, ev_sets)
+                spans = [span for span in map(spanned_vertices, ev_sets) if len(span) == pr.gamma]
+                if spans:
+                    cases.append((g, doctored, family_of(g, "paired", pr.gamma, spans)))
         fails = Counter()
         for g, ev, pr in cases:
             for name, blocks, tuples in (("cor_general", cor_general_blocks, cor_general_tuples),
@@ -358,27 +381,23 @@ class TestCorollaryChecks:
                 verdict = census._CHECK_TABLE[name](g, ev, pr)
                 assert verdict == blocks(g, ev, pr) == tuples(g, ev, pr), (emit_graph6(g), name, ev.sets, pr.sets)
                 fails[name] += not verdict
-        assert fails["cor_general"] > 0 and fails["cor_general2"] > 0
-
-    def test_k4_fails_only_the_perfect_matching_clause(self):
-        k4, ev, pr = _k4_families()
-        assert not census._check_cor_general(k4, ev, pr)
-        assert census._check_cor_general2(k4, ev, pr)
+        assert (len(cases), fails["cor_general"], fails["cor_general2"]) == (544, 38, 38)
 
     def test_matchings_are_read_off_the_family_when_thm1_holds(self):
         # with 2 * gamma_ev == gamma_pr the perfect matchings of G[D] are the
         # minimum ev-sets spanning D, so a family missing K4's other two
         # matchings passes: the check trusts the family to be complete there
-        k4, ev, pr = _k4_families(gamma_ev=2)
-        assert census._check_cor_general(k4, ev, pr)
+        k4, ev, pr = _k4_families()
+        assert census._CHECK_TABLE["cor_general"](k4, ev, pr)
         assert not cor_general_tuples(k4, ev, pr)
 
 
 class TestMaskChecksAgainstTupleReferees:
     # the census checks read the families' masks; the former checks read
     # their sorted tuples. Both on every tree with n <= 12 and every
-    # connected graph with n <= 7, where every check passes
-    CHECKS = {"claim": claim_tuples, "lemma1": lemma1_tuples,
+    # connected graph with n <= 7, where every check passes. thm1 and cor1
+    # pass by construction, and their referees test the clauses they stand for
+    CHECKS = {"claim": claim_tuples, "lemma1": lemma1_tuples, "thm1": thm1_tuples, "cor1": cor1_tuples,
               "cor_general": cor_general_tuples, "cor_general2": cor_general2_tuples}
 
     @pytest.fixture(scope="class")
@@ -489,7 +508,7 @@ class TestCensusConfig:
         with pytest.raises(ValueError):
             CensusConfig(family="trees", n_min=5, n_max=4)
         with pytest.raises(ValueError):
-            CensusConfig(family="connected_graphs", n_min=2, n_max=9)
+            CensusConfig(family="connected_graphs", n_min=2, n_max=10)
         with pytest.raises(ValueError):
             CensusConfig(family="trees", n_min=2, n_max=4, checks=("bogus",))
         with pytest.raises(ValueError):

@@ -301,7 +301,7 @@ class TestCensusCommand:
 
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "census", "--family", "graphs",
-                             "--n-min", "2", "--n-max", "9")
+                             "--n-min", "2", "--n-max", "10")
         assert code == 2
 
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
