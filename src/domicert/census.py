@@ -59,7 +59,7 @@ from .graphs import (
     _twin_pairs,
     canonical_code,
     emit_graph6,
-    is_tree,
+    is_connected,
     parse_edge_list,
 )
 from .twinning import _claim_holds, _first_sharing_pair, _sharing_pairs, _twin
@@ -300,7 +300,7 @@ def verify_graph(graph: Graph, checks, budget: int = DEFAULT_BUDGET) -> dict[str
     A budget overrun skips every requested check for the graph; checks
     that only claim something about trees come back na on non-trees.
     """
-    return _census_task(graph, _validated_checks(checks), budget)[1]
+    return _census_task(graph, _validated_checks(checks), budget, is_connected(graph))[1]
 
 
 def _holds_by_construction(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> bool:
@@ -522,14 +522,16 @@ def _start_pool(worker_count: int):
         signal.signal(signal.SIGINT, previous)
 
 
-def _census_task(graph: Graph, checks, budget: int):
+def _census_task(graph: Graph, checks, budget: int, connected: bool = True):
     # (n, verdicts, counterexample records) of one graph; ``checks`` are
-    # names that _validated_checks has already passed
+    # names that _validated_checks has already passed. run_census leaves
+    # ``connected`` True, as its graphs are connected by construction, and
+    # a connected graph is a tree exactly when it has n - 1 edges
     try:
         ev, pr = solve_families(graph, budget)
     except CapabilityError:
         return graph.n, dict.fromkeys(checks, "skip"), []
-    tree = is_tree(graph)
+    tree = connected and graph.edge_count == graph.n - 1
     verdicts: dict[str, str] = {}
     examples = []
     for name in checks:

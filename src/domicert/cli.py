@@ -27,12 +27,7 @@ from .census import (
     run_census,
 )
 from .domination import DEFAULT_BUDGET, solve_ev, solve_pr, spanned_vertices, uniqueness
-from .errors import (
-    CapabilityError,
-    DomainError,
-    DomicertError,
-    GraphParseError,
-)
+from .errors import CapabilityError, DomicertError
 from .graphs import Graph, normalize_edge, parse_edge_list, parse_graph6
 from .twinning import detangle, sharing_pairs, twinning
 
@@ -62,7 +57,7 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 141
-    except (GraphParseError, DomainError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomicertError as exc:

@@ -261,19 +261,19 @@ def _min_edge_covers(graph: Graph, budget: int):
     # The k = 1 answer spends one unit of the budget and each call of
     # descend one more.
     #
-    # Set-up is one pass: each closed neighbourhood is read once and every
-    # coverage is the union of two; the positions are sorted on the
-    # coverage counts by a C-level key; one loop over the positions fills
-    # the per-position tables and each vertex's mask of touching positions,
-    # and the option masks are read off those with inline bit loops.
+    # Set-up reads only nbr_bits and the edge list: a coverage is both ends
+    # and their neighbours; positions sort on coverage counts by a C-level
+    # key; one loop over them fills the per-position tables and each
+    # vertex's touching mask. An edge covers w when it touches w or a
+    # neighbour x of w, so one pass over the edges wx builds the options.
     _require_solvable(graph)
     if budget < 1:
         raise CapabilityError(f"search budget of {budget} nodes exhausted")
     n = graph.n
     edges = graph.edges
     m = len(edges)
-    closed = [graph.closed_nbr_bits(v) for v in range(n)]
-    cover = [closed[u] | closed[v] for u, v in edges]
+    bits = graph.nbr_bits
+    cover = [bits[u] | bits[v] | 1 << u | 1 << v for u, v in edges]
     counts = [c.bit_count() for c in cover]
     if n in counts:
         return 1, [(1 << j, 1 << u | 1 << v) for j, (u, v) in enumerate(edges) if counts[j] == n]
@@ -294,13 +294,10 @@ def _min_edge_covers(graph: Graph, budget: int):
         touching[u] |= 1 << i
         touching[v] |= 1 << i
     sizes.append(0)  # the bound for an empty allowed mask, whose lowest position reads -1
-    options = [0] * n  # an edge covers w when w is in the closed neighbourhood of an end
-    for x in range(n):
-        near, mine = closed[x], touching[x]
-        while near:
-            low = near & -near
-            near ^= low
-            options[low.bit_length() - 1] |= mine
+    options = touching.copy()
+    for u, v in edges:
+        options[u] |= touching[v]
+        options[v] |= touching[u]
     left = budget - 1
     hits: list[tuple[int, int]] = []
 

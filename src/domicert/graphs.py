@@ -293,8 +293,6 @@ def has_perfect_matching(graph: Graph) -> bool:
     """Whether some edge subset covers every vertex exactly once."""
     if graph.n > MATCHING_VERTEX_BOUND:
         raise CapabilityError(f"perfect-matching query supports n <= {MATCHING_VERTEX_BOUND}, got {graph.n}")
-    if graph.n % 2:
-        return False
     return next(perfect_matchings_within(graph, range(graph.n)), None) is not None
 
 

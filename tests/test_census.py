@@ -320,6 +320,12 @@ class TestVerifyGraph:
         verdicts = verify_graph(path_graph(3), ("thm2", "cor_general"))
         assert verdicts == {"cor_general": "pass", "thm2": "pass"}
 
+    def test_tree_specific_checks_na_off_connected_graphs(self):
+        # a triangle and a disjoint edge: n - 1 edges and no isolated vertex, no tree
+        graph = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        verdicts = verify_graph(graph, ("thm2", "cor_general"))
+        assert verdicts == {"cor_general": "na", "thm2": "na"}
+
     def test_budget_skips_rather_than_passes(self):
         verdicts = verify_graph(pendant_cycle(), CHECK_NAMES, budget=3)
         assert all(v == "skip" for v in verdicts.values())

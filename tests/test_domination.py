@@ -27,6 +27,7 @@ from domicert import (
     spanned_vertices,
     uniqueness,
 )
+from domicert import domination
 from domicert.domination import DEFAULT_BUDGET, _min_edge_covers
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222
@@ -187,22 +188,6 @@ class TestSolvePr:
                 self._check_against_naive(g)
 
 
-class _Distorted(Graph):
-    """A tree with coverage masks no graph has: its one minimum ev-set is no matching.
-
-    Its edges (0,1) and (0,2) cover everything together, and no two
-    disjoint edges do.
-    """
-
-    CLOSED = (0b1, 0b11010, 0b1100100, 0b1100, 0b10000, 0b100000, 0b1000000)
-
-    def __init__(self):
-        super().__init__(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])
-
-    def closed_nbr_bits(self, v: int) -> int:
-        return self.CLOSED[v]
-
-
 def _finishes(solve, graph, budget) -> bool:
     try:
         solve(graph, budget)
@@ -240,10 +225,12 @@ class TestSolveFamilies:
         with pytest.raises(CapabilityError):
             solve_families(graph, budget=nodes - 1)
 
-    def test_raises_when_no_minimum_ev_set_is_a_matching(self):
+    def test_raises_when_no_minimum_ev_set_is_a_matching(self, monkeypatch):
         # twinning turns a minimum ev-set into a matching on every graph, so
-        # only coverage masks no graph has get here, and the error names them
-        g = _Distorted()
+        # only a faulty search gets here: one minimum ev-set, (0,1) and (0,2),
+        # that is no matching. The error names the graph's edges
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])
+        monkeypatch.setattr(domination, "_min_edge_covers", lambda graph, budget: (2, [(0b11, 0b111)]))
         assert solve_ev(g).sets == (((0, 1), (0, 2)),)
         for solve in (solve_families, solve_pr):
             with pytest.raises(InvariantViolation, match=re.escape(f"with edges {g.edges}")):
