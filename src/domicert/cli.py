@@ -26,10 +26,10 @@ from .census import (
     figure1_graph,
     run_census,
 )
-from .domination import DEFAULT_BUDGET, solve_ev, solve_pr, spanned_vertices, uniqueness
+from .domination import DEFAULT_BUDGET, _edge_tuple, solve_ev, solve_pr, spanned_vertices, uniqueness
 from .errors import CapabilityError, DomicertError
 from .graphs import Graph, normalize_edge, parse_edge_list, parse_graph6
-from .twinning import detangle, sharing_pairs, twinning
+from .twinning import detangle, twinning
 
 BUDGET_ENV = "DOMICERT_BUDGET"
 
@@ -236,10 +236,12 @@ def _cmd_twin(args, budget: int) -> int:
 def _cmd_detangle(args, budget: int) -> int:
     graph = _load_graph(args)
     family = solve_ev(graph, budget)
-    chosen = next((m for m in family.sets if sharing_pairs(m) > 0), None)
-    if chosen is None:
+    # the tangled members are exactly those with a sharing pair; rewrite
+    # the first of them in the order of ``family.sets``
+    if not family.tangled:
         print("every minimum ev-dominating set is sharing-free; nothing to detangle")
         return 0
+    chosen = min(_edge_tuple(family.edges, members) for members in family.tangled)
     result = detangle(graph, chosen)
     print(f"set: {_fmt_edge_set(chosen)}")
     print(f"iterations: {result.iterations}")

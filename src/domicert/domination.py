@@ -22,12 +22,19 @@ minimum ev-sets that are matchings: ``solve_families`` reads them off
 the ev search, and ``solve_pr`` is its second half.
 
 The search answers one edge from the edges that cover every vertex. For
-more edges it branches on the uncovered vertex that the fewest allowed
-edges cover. Search nodes are counted against a budget so a runaway
-search surfaces as CapabilityError instead of a silent hang: the
-one-edge answer is one node, and so is the empty choice at each larger
-size and each edge added to a choice. All three solvers spend the same
-nodes on a graph.
+more edges it sweeps the size upward from a packing floor: vertices
+taken deepest first in a breadth-first walk from vertex 0, each kept
+when no edge covers both it and a vertex kept before, so every kept
+vertex needs an edge of its own (the packing side of set cover; Meir
+and Moon, Pacific J. Math. 61, 1975). At the floor itself only the
+edges that cover a kept vertex are allowed, since a set of that many
+edges takes one from each kept vertex's edges. At each size it branches
+on the uncovered vertex that the fewest allowed edges cover. Search
+nodes are counted against a budget so a runaway search surfaces as
+CapabilityError instead of a silent hang: the one-edge answer is one
+node, and so is the empty choice at each larger size from the floor on
+and each edge added to a choice; the packing itself costs none. All
+three solvers spend the same nodes on a graph.
 """
 
 from __future__ import annotations
@@ -51,11 +58,12 @@ class MinSetFamily:
     ``graph.edges[j]``, and bit v of a paired set for vertex v.
     ``masks`` is ascending and duplicate-free; ``spans`` lines up with it
     and holds the vertices each member spans, so a paired set spans
-    itself. ``sets`` is the view for printing and records, built on first
-    use: a lexicographically sorted tuple of members, each itself a
-    sorted tuple (of edges for kind "ev", of vertices for kind "paired").
-    ``index`` is ``(graph.edges, _incidence(graph.edges))``, built once,
-    and so is ``tangled``, the ev members with a sharing pair.
+    itself. ``edges`` is ``graph.edges``, as the search read it. ``sets``
+    is the view for printing and records, built on first use: a
+    lexicographically sorted tuple of members, each itself a sorted tuple
+    (of edges for kind "ev", of vertices for kind "paired"). ``index`` is
+    ``(edges, _incidence(edges))``, built once, and so is ``tangled``, the
+    ev members with a sharing pair.
     """
 
     kind: str
@@ -63,11 +71,11 @@ class MinSetFamily:
     masks: tuple[int, ...]
     spans: tuple[int, ...]
     graph: Graph
+    edges: tuple[Edge, ...] = field(repr=False, compare=False)
 
     @cached_property
     def index(self) -> tuple[tuple[Edge, ...], list[int]]:
-        edges = self.graph.edges
-        return edges, _incidence(edges)
+        return self.edges, _incidence(self.edges)
 
     @cached_property
     def tangled(self) -> list[int]:
@@ -80,7 +88,7 @@ class MinSetFamily:
     @cached_property
     def sets(self) -> tuple[tuple, ...]:
         if self.kind == "ev":
-            members = [_edge_tuple(self.index[0], mask) for mask in self.masks]
+            members = [_edge_tuple(self.edges, mask) for mask in self.masks]
         else:
             members = [tuple([*_iter_bits(mask)]) for mask in self.masks]
         members.sort()
@@ -166,7 +174,7 @@ def solve_families(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[MinSetFa
     spans = tuple(sorted({span for span in ev.spans if span.bit_count() == gamma}))
     if not spans:
         raise InvariantViolation(f"no minimum ev-set is a matching on the graph with edges {graph.edges}")
-    return ev, MinSetFamily(kind="paired", gamma=gamma, masks=spans, spans=spans, graph=graph)
+    return ev, MinSetFamily(kind="paired", gamma=gamma, masks=spans, spans=spans, graph=graph, edges=ev.edges)
 
 
 def spanned_vertices(edges) -> frozenset[int]:
@@ -235,29 +243,33 @@ def gamma_ev_tree_fast(graph: Graph) -> int:
 # --- shared search machinery -------------------------------------------
 
 
-def _ev_family(graph: Graph, k: int, hits) -> MinSetFamily:
+def _ev_family(graph: Graph, k: int, hits, edges) -> MinSetFamily:
     hits.sort()
     masks, spans = zip(*hits)
-    return MinSetFamily(kind="ev", gamma=k, masks=masks, spans=spans, graph=graph)
+    return MinSetFamily(kind="ev", gamma=k, masks=masks, spans=spans, graph=graph, edges=edges)
 
 
 def _min_edge_covers(graph: Graph, budget: int):
-    # Sweeps k = 1..n // 2 edges upward and returns the first k with hits,
-    # each an (edge mask, span mask) pair, where bit j of the edge mask is
-    # graph.edges[j]: a maximal matching has at most n // 2 edges and its
-    # span dominates a graph without isolated vertices. k = 1 is the edges
-    # that cover every vertex, read off the coverage counts before anything
-    # else is built. For larger k, a depth-first search passes the allowed
-    # edges (a bitmask over positions in the search order) and the still
-    # uncovered vertices down, and branches on the uncovered vertex with
-    # the fewest allowed options, the edges whose coverage holds it, as
-    # exact set-cover solvers pick the element with the fewest options
-    # (Knuth, "Dancing links", 2000). Each tried edge leaves the allowed
-    # mask of its later siblings, so each set is found once. In the last
-    # slot the hits are the allowed edges that hold every uncovered vertex.
+    # Sweeps k = 1..n // 2 edges upward and returns (k, hits, edges): the
+    # first k with hits, each an (edge mask, span mask) pair, where bit j of
+    # the edge mask is edges[j], and the tuple graph.edges read once here,
+    # which the ev family keeps. A maximal matching has at most n // 2 edges
+    # and its span dominates a graph without isolated vertices. k = 1 is
+    # the edges that cover every vertex, read off the coverage counts
+    # before anything else is built. Past it the sweep starts at the
+    # packing floor (module docstring), with the allowed edges at the floor
+    # cut to the packed vertices' options. For each k, a depth-first
+    # search passes the allowed edges (a bitmask over positions in the
+    # search order) and the still uncovered vertices down, and branches on
+    # the uncovered vertex with the fewest allowed options, the edges whose
+    # coverage holds it, as exact set-cover solvers pick the element with
+    # the fewest options (Knuth, "Dancing links", 2000). Each tried edge
+    # leaves the allowed mask of its later siblings, so each set is found
+    # once. In the last slot the hits are the allowed edges that hold every
+    # uncovered vertex.
     # Edges come sorted by shrinking coverage, so the lowest allowed
     # position carries the largest coverage and bounds what the slots can
-    # cover. No smaller k had a hit, so no node has nothing left to cover.
+    # cover. No smaller k has a hit, so no node has nothing left to cover.
     # The k = 1 answer spends one unit of the budget and each call of
     # descend one more.
     #
@@ -276,7 +288,7 @@ def _min_edge_covers(graph: Graph, budget: int):
     cover = [bits[u] | bits[v] | 1 << u | 1 << v for u, v in edges]
     counts = [c.bit_count() for c in cover]
     if n in counts:
-        return 1, [(1 << j, 1 << u | 1 << v) for j, (u, v) in enumerate(edges) if counts[j] == n]
+        return 1, [(1 << j, 1 << u | 1 << v) for j, (u, v) in enumerate(edges) if counts[j] == n], edges
     # stable under reverse too: equal coverage keeps the lexicographic edge order
     order = sorted(range(m), key=counts.__getitem__, reverse=True)
     full = (1 << n) - 1
@@ -298,6 +310,14 @@ def _min_edge_covers(graph: Graph, budget: int):
     for u, v in edges:
         options[u] |= touching[v]
         options[v] |= touching[u]
+    # the packing floor: vertices taken deepest first whose options are
+    # pairwise disjoint each need an edge of their own
+    floor = 0
+    packed = 0
+    for w in reversed(_tree_walk(graph, 0)[0]):
+        if not options[w] & packed:
+            packed |= options[w]
+            floor += 1
     left = budget - 1
     hits: list[tuple[int, int]] = []
 
@@ -339,10 +359,12 @@ def _min_edge_covers(graph: Graph, budget: int):
 
     everything = (1 << m) - 1
     try:
-        for k in range(2, n // 2 + 1):
-            descend(k, everything, full, 0, 0)
+        for k in range(max(2, floor), n // 2 + 1):
+            # floor edges that cover every packed vertex take one edge from
+            # each packed vertex's options, so they all lie in the union
+            descend(k, packed if k == floor else everything, full, 0, 0)
             if hits:
-                return k, hits
+                return k, hits, edges
     except RecursionError:
         raise CapabilityError(f"search for {k} edges goes deeper than the recursion limit") from None
     finally:

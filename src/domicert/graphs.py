@@ -12,6 +12,7 @@ worker processes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import cache
 
 from .errors import CapabilityError, GraphParseError
 
@@ -204,23 +205,32 @@ def parse_graph6(text: str) -> Graph:
     payload = s[1:]
     if len(payload) != need:
         raise GraphParseError(f"graph6 payload for n={n} needs {need} characters, got {len(payload)}")
-    bits: list[int] = []
+    value = 0
     for ch in payload:
-        value = ord(ch)
-        if not _G6_MIN <= value <= _G6_MAX:
+        byte = ord(ch)
+        if not _G6_MIN <= byte <= _G6_MAX:
             raise GraphParseError(f"invalid graph6 byte {ch!r}")
-        value -= 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        value = value << 6 | byte - 63
+    pad = 6 * need - nbits
+    if value & (1 << pad) - 1:
         raise GraphParseError("graph6 padding bits must be zero")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+    value >>= pad
+    pairs = _g6_pairs(n)
+    bits = [0] * n
+    while value:
+        low = value & -value
+        value ^= low
+        i, j = pairs[low.bit_length() - 1]
+        bits[i] |= 1 << j
+        bits[j] |= 1 << i
+    return _from_nbr_bits(tuple(bits))
+
+
+@cache
+def _g6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    # the (i, j) pair of each bit of a graph6 payload read as one integer,
+    # indexed from its lowest bit: the last pair of the stream comes first
+    return tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
 
 
 def emit_graph6(graph: Graph) -> str:

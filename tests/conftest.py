@@ -50,9 +50,9 @@ def family_of(graph: Graph, kind: str, gamma: int, sets) -> MinSetFamily:
     as the solvers build one: masks ascending, each with its span."""
     if kind == "ev":
         pairs = sorted({(edge_mask(graph.edges, m), span_mask(m)) for m in sets})
-        return MinSetFamily(kind, gamma, tuple(m for m, _ in pairs), tuple(s for _, s in pairs), graph)
+        return MinSetFamily(kind, gamma, tuple(m for m, _ in pairs), tuple(s for _, s in pairs), graph, graph.edges)
     masks = tuple(sorted({vertex_mask(d) for d in sets}))
-    return MinSetFamily(kind, gamma, masks, masks, graph)
+    return MinSetFamily(kind, gamma, masks, masks, graph, graph.edges)
 
 
 def minimum_of(edges, sets) -> dict[int, tuple[int, int]]:

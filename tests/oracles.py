@@ -14,6 +14,9 @@ branches over one global edge order, kept as the referee for the hits
 and spans of the package's vertex-branching kernel;
 ``gamma_ev_tree_triples``, the tree DP over (has edge, needs any, needs
 parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``;
+``parse_graph6_naive``, the graph6 decoder that expands the payload bit
+by bit into an edge list for ``Graph``, kept as the referee for
+``parse_graph6``;
 ``cor_general_blocks`` and ``cor_general2_blocks``, the two
 corollary checks as overlapping blocks, kept as referees for the
 census's one-rule statements; and the ``*_tuples`` checks, the census's
@@ -28,8 +31,10 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from domicert import (
+    CapabilityError,
     DomainError,
     Graph,
+    GraphParseError,
     InvariantViolation,
     MinSetFamily,
     NotMinimumWitness,
@@ -277,6 +282,42 @@ def gamma_ev_tree_triples(graph: Graph) -> int:
     if best >= INF:
         raise InvariantViolation("tree DP found no feasible selection")
     return best
+
+
+def parse_graph6_naive(text: str) -> Graph:
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphParseError("empty graph6 string")
+    first = ord(s[0])
+    if first == 126:
+        raise CapabilityError("long-form graph6 (n > 62) is not supported")
+    if not 63 <= first <= 126:
+        raise GraphParseError(f"invalid graph6 byte {s[0]!r}")
+    n = first - 63
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    payload = s[1:]
+    if len(payload) != need:
+        raise GraphParseError(f"graph6 payload for n={n} needs {need} characters, got {len(payload)}")
+    bits: list[int] = []
+    for ch in payload:
+        value = ord(ch)
+        if not 63 <= value <= 126:
+            raise GraphParseError(f"invalid graph6 byte {ch!r}")
+        value -= 63
+        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise GraphParseError("graph6 padding bits must be zero")
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph(n, edges)
 
 
 def refine_colors_naive(graph: Graph) -> list[int]:

@@ -37,7 +37,7 @@ from domicert import (
 )
 from domicert import census
 from domicert.census import CHECK_NAMES, STANDARD_CHECKS, WORKER_BOUND, connected_class_count
-from domicert.domination import _edge_tuple, _incidence
+from domicert.domination import DEFAULT_BUDGET, _edge_tuple, _incidence
 
 from .conftest import edge_mask, family_of, minimum_of, path_graph, pendant_cycle, spider_222
 from .oracles import (
@@ -325,6 +325,17 @@ class TestVerifyGraph:
         graph = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
         verdicts = verify_graph(graph, ("thm2", "cor_general"))
         assert verdicts == {"cor_general": "na", "thm2": "na"}
+
+    def test_census_task_builds_the_edge_list_once(self, monkeypatch):
+        # the claim and lemma1 checks index the edge tuple the search built
+        graph = spider_222()
+        assert solve_ev(graph).tangled
+        edges = Graph.edges
+        reads = []
+        monkeypatch.setattr(Graph, "edges", property(lambda g: reads.append(g) or edges.fget(g)))
+        _, verdicts, _ = census._census_task(graph, STANDARD_CHECKS, DEFAULT_BUDGET)
+        assert verdicts == dict.fromkeys(STANDARD_CHECKS, "pass")
+        assert reads == [graph]
 
     def test_budget_skips_rather_than_passes(self):
         verdicts = verify_graph(pendant_cycle(), CHECK_NAMES, budget=3)

@@ -12,7 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from domicert import Graph, census, cli, domination, emit_graph6
+from domicert import (
+    Graph,
+    census,
+    cli,
+    domination,
+    emit_graph6,
+    generate_connected_graphs,
+    generate_trees,
+    sharing_pairs,
+    solve_ev,
+)
 from domicert.census import run_census
 from domicert.cli import main
 
@@ -127,12 +137,12 @@ class TestEnumerate:
         ]
 
     def test_budget_error_names_the_budget(self, capsys, tmp_graph_file, monkeypatch):
-        # the path on 8 vertices takes 4 search nodes
-        monkeypatch.setenv("DOMICERT_BUDGET", "3")
+        # the path on 8 vertices takes 3 search nodes
+        monkeypatch.setenv("DOMICERT_BUDGET", "2")
         path = tmp_graph_file("8 7\n" + "".join(f"{i} {i + 1}\n" for i in range(7)))
         code, out, err = run_cli(capsys, "enumerate", "--kind", "ev", path)
         assert (code, out) == (3, "")
-        assert err == "capability error: search budget of 3 nodes exhausted\n"
+        assert err == "capability error: search budget of 2 nodes exhausted\n"
 
     def test_deterministic(self, capsys, tmp_graph_file):
         path = tmp_graph_file(SPIDER_TEXT)
@@ -255,6 +265,23 @@ class TestTwinAndDetangle:
         code, out, _ = run_cli(capsys, "detangle", path)
         assert code == 0
         assert "nothing to detangle" in out
+
+    def test_detangle_picks_the_first_set_with_a_sharing_pair(self, capsys, tmp_graph_file):
+        # the set detangle rewrites is the first of the listed minimum
+        # ev-sets with a sharing pair; with none it has nothing to do
+        graphs = [g for n in range(2, 11) for g in generate_trees(n)]
+        graphs += [g for n in range(2, 7) for g in generate_connected_graphs(n)]
+        picked = 0
+        for g in graphs:
+            path = tmp_graph_file(emit_graph6(g) + "\n", "graph.g6")
+            code, out, _ = run_cli(capsys, "detangle", "--format", "g6", path)
+            chosen = next((m for m in solve_ev(g).sets if sharing_pairs(m) > 0), None)
+            if chosen is None:
+                assert (code, out) == (0, "every minimum ev-dominating set is sharing-free; nothing to detangle\n")
+            else:
+                assert (code, out.splitlines()[0]) == (0, "set: {" + ", ".join(f"({u},{v})" for u, v in chosen) + "}")
+                picked += 1
+        assert 0 < picked < len(graphs)
 
 
 class TestCensusCommand:

@@ -107,7 +107,7 @@ class TestSolveEv:
             solve_ev(Graph(1, ()))
 
     @pytest.mark.parametrize("graph, nodes", [
-        (pendant_cycle(), 5), (spider_222(), 11), (path_graph(8), 4), (cycle_graph(7), 6),
+        (pendant_cycle(), 4), (spider_222(), 8), (path_graph(8), 3), (cycle_graph(7), 6),
     ], ids=BUDGET_IDS)
     def test_budget_exhaustion(self, graph, nodes):
         solve_ev(graph, budget=nodes)
@@ -161,7 +161,7 @@ class TestSolvePr:
             solve_pr(Graph(3, [(0, 1)]))
 
     @pytest.mark.parametrize("graph, nodes", [
-        (pendant_cycle(), 5), (spider_222(), 11), (path_graph(8), 4), (cycle_graph(7), 6),
+        (pendant_cycle(), 4), (spider_222(), 8), (path_graph(8), 3), (cycle_graph(7), 6),
     ], ids=BUDGET_IDS)
     def test_budget_exhaustion(self, graph, nodes):
         solve_pr(graph, budget=nodes)
@@ -218,7 +218,7 @@ class TestSolveFamilies:
                 assert _finishes(solve_families, g, budget) is alone
 
     @pytest.mark.parametrize("graph, nodes", [
-        (pendant_cycle(), 5), (spider_222(), 11), (path_graph(8), 4), (cycle_graph(7), 6),
+        (pendant_cycle(), 4), (spider_222(), 8), (path_graph(8), 3), (cycle_graph(7), 6),
     ], ids=BUDGET_IDS)
     def test_budget_exhaustion(self, graph, nodes):
         solve_families(graph, budget=nodes)
@@ -230,7 +230,7 @@ class TestSolveFamilies:
         # only a faulty search gets here: one minimum ev-set, (0,1) and (0,2),
         # that is no matching. The error names the graph's edges
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])
-        monkeypatch.setattr(domination, "_min_edge_covers", lambda graph, budget: (2, [(0b11, 0b111)]))
+        monkeypatch.setattr(domination, "_min_edge_covers", lambda graph, budget: (2, [(0b11, 0b111)], graph.edges))
         assert solve_ev(g).sets == (((0, 1), (0, 2)),)
         for solve in (solve_families, solve_pr):
             with pytest.raises(InvariantViolation, match=re.escape(f"with edges {g.edges}")):
@@ -282,8 +282,8 @@ class TestSearchKernel:
             assert (pr.gamma, pr.masks) == (2 * k, tuple(sorted({span for _, span in hits})))
             return
         # a kernel hit's edges are the bits of its edge mask over g.edges
-        k, hits = _min_edge_covers(g, DEFAULT_BUDGET)
-        edges = g.edges
+        k, hits, edges = _min_edge_covers(g, DEFAULT_BUDGET)
+        assert edges == g.edges
         got = normalized(k, [([e for j, e in enumerate(edges) if pick >> j & 1], span) for pick, span in hits])
         assert got == normalized(*min_edge_covers_sorted(g, False))
 
@@ -325,16 +325,19 @@ class TestSearchKernel:
     # solve_pr spends the kernel's nodes, as it runs the one ev search
     @pytest.mark.parametrize("solve", [_min_edge_covers, solve_pr], ids=["ev", "pr"])
     def test_smallest_finishing_budget_total(self, solve):
-        assert sum(self._nodes(solve, g) for g in self._graphs(9, 6)) == 705
+        assert sum(self._nodes(solve, g) for g in self._graphs(9, 6)) == 607
 
     def test_reach_on_prufer_trees(self):
-        # the former kernel, over one global edge order, exhausts this budget on each
-        rng = random.Random(5)
-        for _ in range(5):
-            g = tree_from_prufer([rng.randrange(36) for _ in range(34)], 36)
-            gamma = gamma_ev_tree_fast(g)
-            assert solve_ev(g, budget=10**5).gamma == gamma
-            assert solve_pr(g, budget=10**5).gamma == 2 * gamma
+        # the former kernel, over one global edge order, exhausts this budget
+        # on each tree at n=36; without the packing floor the kernel exhausts
+        # it on one at n=48
+        for n in (36, 48):
+            rng = random.Random(5)
+            for _ in range(5):
+                g = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)], n)
+                gamma = gamma_ev_tree_fast(g)
+                assert solve_ev(g, budget=10**5).gamma == gamma
+                assert solve_pr(g, budget=10**5).gamma == 2 * gamma
 
 
 class TestSearchDepth:

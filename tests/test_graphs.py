@@ -31,6 +31,7 @@ from .oracles import (
     components_union_find,
     has_perfect_matching_naive,
     min_adjacency_bytes_naive,
+    parse_graph6_naive,
     refine_colors_naive,
 )
 
@@ -200,6 +201,40 @@ class TestGraph6:
     def test_emit_bound(self):
         with pytest.raises(CapabilityError):
             emit_graph6(Graph(63, ()))
+
+    def test_matches_bit_by_bit_decoder(self):
+        # seeded random graphs on 0..62 vertices, whole and corrupted: a
+        # character too few or too many, one payload bit flipped, the last
+        # payload bit set (padding wherever the bits do not fill the last
+        # character), one character out of range; both decoders return equal
+        # graphs or raise the same error with the same message
+        def outcome(parse, text):
+            try:
+                graph = parse(text)
+            except (GraphParseError, CapabilityError) as exc:
+                return type(exc), str(exc)
+            return graph, type(graph.nbr_bits)
+
+        rng = random.Random(6)
+        texts = ["", ">>graph6<<", "~??", ">", chr(127), "@\n", "@?"]
+        for n in range(63):
+            for density in (0.0, 0.05, 0.3, 0.7, 1.0):
+                g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+                text = emit_graph6(g)
+                texts += [text, text[:-1], text + "?", f">>graph6<<{text}\n"]
+                if n < 2:
+                    continue
+                k = rng.randrange(1, len(text))
+                flipped = chr((ord(text[k]) - 63 ^ 1 << rng.randrange(6)) + 63)
+                texts.append(text[:k] + flipped + text[k + 1:])
+                texts.append(text[:-1] + chr((ord(text[-1]) - 63 | 1) + 63))
+                texts.append(text[:k] + rng.choice("!> \x7f\xe9") + text[k + 1:])
+        padded = 0
+        for text in texts:
+            expected = outcome(parse_graph6_naive, text)
+            assert outcome(parse_graph6, text) == expected, text
+            padded += expected == (GraphParseError, "graph6 padding bits must be zero")
+        assert padded > 50
 
 
 class TestRoundTrips:
