@@ -208,11 +208,8 @@ def _cmd_span(args, budget: int) -> int:
 
 
 def _parse_cli_edge(raw: str):
-    fields = raw.split(",")
-    if len(fields) != 2:
-        raise ValueError(f"expected an edge as U,V, got {raw!r}")
     try:
-        u, v = int(fields[0]), int(fields[1])
+        u, v = map(int, raw.split(","))
     except ValueError:
         raise ValueError(f"expected an edge as U,V, got {raw!r}") from None
     return normalize_edge(u, v)

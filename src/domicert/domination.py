@@ -87,12 +87,8 @@ class MinSetFamily:
 
     @cached_property
     def sets(self) -> tuple[tuple, ...]:
-        if self.kind == "ev":
-            members = [_edge_tuple(self.edges, mask) for mask in self.masks]
-        else:
-            members = [tuple([*_iter_bits(mask)]) for mask in self.masks]
-        members.sort()
-        return tuple(members)
+        labels = self.edges if self.kind == "ev" else range(self.graph.n)
+        return tuple(sorted([_edge_tuple(labels, mask) for mask in self.masks]))
 
     def contains(self, members) -> bool:
         """Membership test that normalizes the candidate's ordering first."""
@@ -388,8 +384,8 @@ def _incidence(edges) -> list[int]:
     return incident
 
 
-def _edge_tuple(edges, mask: int) -> tuple[Edge, ...]:
-    # the edges whose indices are the bits of mask, in index order
+def _edge_tuple(edges, mask: int) -> tuple:
+    # the entries of edges (or of range(n), for a vertex mask) at the bits of mask, in index order
     return tuple([edges[j] for j in _iter_bits(mask)])
 
 

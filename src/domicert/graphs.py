@@ -140,10 +140,8 @@ def parse_edge_list(text: str) -> Graph:
             continue
         fields = line.split()
         if header is None:
-            if len(fields) != 2:
-                raise GraphParseError(f"line {lineno}: expected 'n m' header, got {line!r}")
             try:
-                n, m = int(fields[0]), int(fields[1])
+                n, m = map(int, fields)
             except ValueError:
                 raise GraphParseError(f"line {lineno}: expected 'n m' header, got {line!r}") from None
             if n < 0 or m < 0:
@@ -154,10 +152,8 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if count == m:
             raise GraphParseError(f"line {lineno}: unexpected content after {m} edge lines")
-        if len(fields) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'u v' edge, got {line!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = map(int, fields)
         except ValueError:
             raise GraphParseError(f"line {lineno}: expected 'u v' edge, got {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -180,11 +176,22 @@ def emit_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# graph6: short form only. Byte 0 encodes n as chr(n + 63) for n <= 62;
-# the payload packs the upper triangle column by column (j = 1..n-1,
-# i < j), six bits per printable character, again offset by 63.
+# graph6, short form only (B. D. McKay, users.cecs.anu.edu.au/~bdm/data/formats.txt):
+# byte 0 is chr(n + 63) for n <= 62, then the payload bits of ``_g6_layout(n)``,
+# six per printable character, again offset by 63.
 
 _G6_MIN, _G6_MAX = 63, 126
+
+
+@cache
+def _g6_layout(n: int) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    # The graph6 payload for n vertices, most significant bit first: the
+    # upper triangle column by column (j = 1..n-1, then i < j), then zero
+    # ``padding`` up to ``characters`` six-bit characters. ``pairs`` holds
+    # the (i, j) of each triangle bit from the lowest: the last pair first.
+    pairs = tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
+    characters = (len(pairs) + 5) // 6
+    return pairs, characters, 6 * characters - len(pairs)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -200,8 +207,7 @@ def parse_graph6(text: str) -> Graph:
     if not _G6_MIN <= first <= _G6_MAX:
         raise GraphParseError(f"invalid graph6 byte {s[0]!r}")
     n = first - 63
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    pairs, need, pad = _g6_layout(n)
     payload = s[1:]
     if len(payload) != need:
         raise GraphParseError(f"graph6 payload for n={n} needs {need} characters, got {len(payload)}")
@@ -211,11 +217,9 @@ def parse_graph6(text: str) -> Graph:
         if not _G6_MIN <= byte <= _G6_MAX:
             raise GraphParseError(f"invalid graph6 byte {ch!r}")
         value = value << 6 | byte - 63
-    pad = 6 * need - nbits
     if value & (1 << pad) - 1:
         raise GraphParseError("graph6 padding bits must be zero")
     value >>= pad
-    pairs = _g6_pairs(n)
     bits = [0] * n
     while value:
         low = value & -value
@@ -226,31 +230,17 @@ def parse_graph6(text: str) -> Graph:
     return _from_nbr_bits(tuple(bits))
 
 
-@cache
-def _g6_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    # the (i, j) pair of each bit of a graph6 payload read as one integer,
-    # indexed from its lowest bit: the last pair of the stream comes first
-    return tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
-
-
 def emit_graph6(graph: Graph) -> str:
     """Encode as a short-form graph6 string."""
     n = graph.n
     if n > 62:
         raise CapabilityError("graph6 output is limited to n <= 62")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(graph.nbr_bits[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k:k + 6]:
-            value = value << 1 | b
-        chars.append(chr(value + 63))
-    return "".join(chars)
+    pairs, characters, pad = _g6_layout(n)
+    value = 0
+    for i, j in reversed(pairs):
+        value = value << 1 | graph.nbr_bits[i] >> j & 1
+    value <<= pad
+    return chr(n + 63) + "".join([chr((value >> 6 * k & 63) + 63) for k in reversed(range(characters))])
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

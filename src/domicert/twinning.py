@@ -52,7 +52,11 @@ def sharing_pairs(edges) -> int:
 
 
 def check_claim(graph: Graph, edges) -> bool:
-    """No three members form a path on four vertices or a triangle."""
+    """No three members form a path on four vertices or a triangle.
+
+    The graph is not consulted: the members are read as loose edges and
+    need not be edges of it.
+    """
     return _claim_holds(*_loose(edges))
 
 
@@ -152,12 +156,15 @@ def _on_graph(graph: Graph, members) -> tuple[tuple[Edge, ...], list[int], int]:
 def _loose(edges) -> tuple[list[Edge], list[int], int]:
     # arbitrary edges, not necessarily of any graph, repeats dropped, as
     # the cores take them: their own sorted list, its incidence, and all.
-    # A negative vertex would index the incidence from its end; the first
-    # sorted edge holds the smallest vertex
+    # The cores only ask which members meet, so the vertices are ranked
+    # 0..k-1 in order: the incidence grows with the set, not its largest
+    # id. Ids are non-negative; the first sorted edge holds the smallest
     distinct = sorted({normalize_edge(u, v) for u, v in edges})
     if distinct and distinct[0][0] < 0:
         raise ValueError(f"vertex {distinct[0][0]} out of range")
-    return distinct, _incidence(distinct), (1 << len(distinct)) - 1
+    rank = {v: i for i, v in enumerate(sorted({v for edge in distinct for v in edge}))}
+    dense = [(rank[u], rank[v]) for u, v in distinct]
+    return dense, _incidence(dense), (1 << len(dense)) - 1
 
 
 def _sharing_pairs(edges, incident, members: int) -> int:

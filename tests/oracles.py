@@ -16,7 +16,9 @@ and spans of the package's vertex-branching kernel;
 parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``;
 ``parse_graph6_naive``, the graph6 decoder that expands the payload bit
 by bit into an edge list for ``Graph``, kept as the referee for
-``parse_graph6``;
+``parse_graph6``; ``emit_graph6_naive``, the graph6 encoder that
+lists the payload bits column by column and repacks them six at a time,
+kept as the referee for ``emit_graph6``;
 ``cor_general_blocks`` and ``cor_general2_blocks``, the two
 corollary checks as overlapping blocks, kept as referees for the
 census's one-rule statements; and the ``*_tuples`` checks, the census's
@@ -318,6 +320,25 @@ def parse_graph6_naive(text: str) -> Graph:
                 edges.append((i, j))
             k += 1
     return Graph(n, edges)
+
+
+def emit_graph6_naive(graph: Graph) -> str:
+    n = graph.n
+    if n > 62:
+        raise CapabilityError("graph6 output is limited to n <= 62")
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(graph.nbr_bits[i] >> j & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = [chr(n + 63)]
+    for k in range(0, len(bits), 6):
+        value = 0
+        for b in bits[k:k + 6]:
+            value = value << 1 | b
+        chars.append(chr(value + 63))
+    return "".join(chars)
 
 
 def refine_colors_naive(graph: Graph) -> list[int]:

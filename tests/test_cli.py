@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -14,12 +15,14 @@ import pytest
 
 from domicert import (
     Graph,
+    GraphParseError,
     census,
     cli,
     domination,
     emit_graph6,
     generate_connected_graphs,
     generate_trees,
+    parse_edge_list,
     sharing_pairs,
     solve_ev,
 )
@@ -247,6 +250,30 @@ class TestTwinAndDetangle:
         code, _, _ = run_cli(capsys, "twin", path, "--e1", "0-1", "--e2", "0,3")
         assert code == 2
 
+    @pytest.mark.parametrize("text, e1, message", [
+        ("6\n", "0,1", "line 1: expected 'n m' header, got '6'"),
+        ("# spider\n7 6 1\n", "0,1", "line 2: expected 'n m' header, got '7 6 1'"),
+        ("seven 6\n", "0,1", "line 1: expected 'n m' header, got 'seven 6'"),
+        ("7 6.0\n", "0,1", "line 1: expected 'n m' header, got '7 6.0'"),
+        ("7 6\n0\n", "0,1", "line 2: expected 'u v' edge, got '0'"),
+        ("7 6\n0 1\n\n1 2 3\n", "0,1", "line 4: expected 'u v' edge, got '1 2 3'"),
+        ("7 6\n0 one\n", "0,1", "line 2: expected 'u v' edge, got '0 one'"),
+        ("7 6\n0 1.5\n", "0,1", "line 2: expected 'u v' edge, got '0 1.5'"),
+        (SPIDER_TEXT, "0-1", "expected an edge as U,V, got '0-1'"),
+        (SPIDER_TEXT, "0,1,2", "expected an edge as U,V, got '0,1,2'"),
+        (SPIDER_TEXT, "a,1", "expected an edge as U,V, got 'a,1'"),
+    ])
+    def test_malformed_two_integer_field(self, capsys, tmp_graph_file, text, e1, message):
+        # a wrong field count, a word and a float in the edge-list header, an
+        # edge line and the --e1 edge each give the field's one message
+        path = tmp_graph_file(text)
+        code, out, err = run_cli(capsys, "twin", path, "--e1", e1, "--e2", "0,3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        if text != SPIDER_TEXT:
+            with pytest.raises(GraphParseError) as caught:
+                parse_edge_list(text)
+            assert str(caught.value) == message
+
     def test_detangle_spider(self, capsys, tmp_graph_file):
         path = tmp_graph_file(SPIDER_TEXT)
         code, out, _ = run_cli(capsys, "detangle", path)
@@ -282,6 +309,21 @@ class TestTwinAndDetangle:
                 assert (code, out.splitlines()[0]) == (0, "set: {" + ", ".join(f"({u},{v})" for u, v in chosen) + "}")
                 picked += 1
         assert 0 < picked < len(graphs)
+
+
+class TestBenchmarkReference:
+    def test_cli_queries_stdout_digest(self, tmp_path, monkeypatch):
+        # the cli-queries workload's own check of its reference prefix: 20
+        # seeded queries through enumerate, unique and detangle, their exit
+        # codes and stdout hashed against perfbench/reference.json
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name while they are built
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        assert workloads._reference_problems(tmp_path) == []
 
 
 class TestCensusCommand:

@@ -30,6 +30,7 @@ from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222, star_g
 from .oracles import (
     components_union_find,
     has_perfect_matching_naive,
+    emit_graph6_naive,
     min_adjacency_bytes_naive,
     parse_graph6_naive,
     refine_colors_naive,
@@ -235,6 +236,17 @@ class TestGraph6:
             assert outcome(parse_graph6, text) == expected, text
             padded += expected == (GraphParseError, "graph6 padding bits must be zero")
         assert padded > 50
+
+    def test_matches_column_loop_encoder(self):
+        # seeded random graphs at every n the short form takes, sparse and
+        # dense, and every connected graph on two to seven vertices
+        rng = random.Random(25)
+        graphs = [g for n in range(2, 8) for g in generate_connected_graphs(n)]
+        for n in range(63):
+            for density in (0.1, 0.9):
+                graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density]))
+        for g in graphs:
+            assert emit_graph6(g) == emit_graph6_naive(g), g.edges
 
 
 class TestRoundTrips:

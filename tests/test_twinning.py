@@ -17,7 +17,7 @@ from domicert import (
     twinning,
 )
 
-from .conftest import path_graph, pendant_cycle, spider_222
+from .conftest import path_graph, pendant_cycle, spider_222, star_graph
 
 SPIDER_M = ((0, 1), (0, 3), (5, 6))
 
@@ -39,6 +39,11 @@ class TestSharingPairs:
         # a negative id would index the incidence list from its far end
         with pytest.raises(ValueError, match="vertex -1 out of range"):
             sharing_pairs([(-1, 0), (2, 3)])
+
+    def test_huge_vertex_ids(self):
+        # the work and memory follow the set, not its largest vertex id
+        assert sharing_pairs([(0, 2**62), (1, 2**62)]) == 1
+        assert sharing_pairs([(0, 3 * 10**7), (1, 2)]) == 0
 
 
 class TestCheckClaim:
@@ -70,6 +75,17 @@ class TestCheckClaim:
     def test_rejects_negative_vertex(self):
         with pytest.raises(ValueError, match="vertex -1 out of range"):
             check_claim(path_graph(4), [(-1, 0), (0, 1), (2, 3)])
+
+    def test_huge_vertex_ids_give_the_same_verdicts(self):
+        # a P4 and a star, on small ids and relabelled onto huge ones; the
+        # graph is not consulted, so the small graph serves for both
+        huge = {0: 2**62, 1: 5, 2: 2**61 + 3, 3: 3 * 10**7}
+        for graph, members in ((path_graph(4), [(0, 1), (1, 2), (2, 3)]),
+                               (star_graph(3), [(0, 1), (0, 2), (0, 3)])):
+            relabelled = [(huge[u], huge[v]) for u, v in members]
+            assert check_claim(graph, relabelled) is check_claim(graph, members)
+        assert check_claim(path_graph(4), [(0, 2**62), (2**62, 1), (1, 2**61)]) is False
+        assert check_claim(path_graph(4), [(2**62, 0), (2**62, 1), (2**62, 2)]) is True
 
     def test_holds_on_all_minimum_sets_of_small_trees(self):
         for n in range(2, 9):
