@@ -16,6 +16,7 @@ import errno
 import os
 import sys
 from functools import cache
+from itertools import compress, islice
 
 from .census import (
     CONNECTED,
@@ -26,12 +27,14 @@ from .census import (
     figure1_graph,
     run_census,
 )
-from .domination import DEFAULT_BUDGET, _edge_tuple, solve_ev, solve_pr, spanned_vertices, uniqueness
+from .domination import DEFAULT_BUDGET, _bit_rows, solve_ev, solve_pr, uniqueness
 from .errors import CapabilityError, DomicertError
 from .graphs import Graph, normalize_edge, parse_edge_list, parse_graph6
-from .twinning import detangle, twinning
+from .twinning import _detangle, twinning
 
 BUDGET_ENV = "DOMICERT_BUDGET"
+# lines per write of a listing
+BLOCK_LINES = 1024
 
 
 def main(argv=None) -> int:
@@ -153,8 +156,24 @@ def _fmt_vertex_set(vertices) -> str:
     return "{" + ", ".join(str(v) for v in sorted(vertices)) + "}"
 
 
-def _fmt_set(kind: str, members) -> str:
-    return _fmt_edge_set(members) if kind == "ev" else _fmt_vertex_set(members)
+def _fmt_labels(family) -> list[str]:
+    # what each bit of a member stands for, an edge or a vertex, formatted once
+    if family.kind == "ev":
+        return [_fmt_edge(e) for e in family.edges]
+    return [str(v) for v in range(family.graph.n)]
+
+
+def _fmt_row(labels: list[str], row: bytes) -> str:
+    # the set whose bit row this is, listed as _fmt_edge_set or _fmt_vertex_set would
+    return "{" + ", ".join(compress(labels, row)) + "}"
+
+
+def _write_lines(lines) -> None:
+    # a listing, a block of lines per write: one print per line costs more
+    # than formatting the line on a large family
+    lines = iter(lines)
+    while block := list(islice(lines, BLOCK_LINES)):
+        sys.stdout.write("\n".join(block) + "\n")
 
 
 def _fmt_step(step) -> str:
@@ -177,8 +196,8 @@ def _cmd_family(args, budget: int) -> int:
     family = solve_ev(graph, budget) if args.kind == "ev" else solve_pr(graph, budget)
     print(_family_line(family))
     if args.command == "enumerate":
-        for members in family.sets:
-            print(_fmt_set(family.kind, members))
+        labels = _fmt_labels(family)
+        _write_lines(_fmt_row(labels, row) for row in family.rows)
     return 0
 
 
@@ -186,7 +205,8 @@ def _cmd_unique(args, budget: int) -> int:
     kind = "ev" if args.kind == "ev" else "paired"
     verdict = uniqueness(_load_graph(args), kind, budget)
     if verdict.unique:
-        print(f"unique: true; set = {_fmt_set(kind, verdict.family.sets[0])}")
+        family = verdict.family
+        print(f"unique: true; set = {_fmt_row(_fmt_labels(family), family.rows[0])}")
     elif verdict.common_span is not None:
         print(f"unique: false; {_plural(verdict.witness_count, 'minimum set')}; "
               f"common span = {_fmt_vertex_set(verdict.common_span)}")
@@ -197,9 +217,13 @@ def _cmd_unique(args, budget: int) -> int:
 
 def _cmd_span(args, budget: int) -> int:
     verdict = uniqueness(_load_graph(args), "ev", budget)
-    print(_family_line(verdict.family))
-    for members in verdict.family.sets:
-        print(f"{_fmt_edge_set(members)} spans {_fmt_vertex_set(spanned_vertices(members))}")
+    family = verdict.family
+    print(_family_line(family))
+    edges = _fmt_labels(family)
+    vertices = list(map(str, range(family.graph.n)))
+    # the rows are distinct, so the span rows ride along in the order of family.sets
+    rows = sorted(zip(_bit_rows(family.masks), _bit_rows(family.spans)), reverse=True)
+    _write_lines(f"{_fmt_row(edges, row)} spans {_fmt_row(vertices, span)}" for row, span in rows)
     if verdict.common_span is not None:
         print(f"common span: {_fmt_vertex_set(verdict.common_span)}")
     else:
@@ -234,13 +258,14 @@ def _cmd_detangle(args, budget: int) -> int:
     graph = _load_graph(args)
     family = solve_ev(graph, budget)
     # the tangled members are exactly those with a sharing pair; rewrite
-    # the first of them in the order of ``family.sets``
+    # the first of them in the order of ``family.sets``, the largest row
     if not family.tangled:
         print("every minimum ev-dominating set is sharing-free; nothing to detangle")
         return 0
-    chosen = min(_edge_tuple(family.edges, members) for members in family.tangled)
-    result = detangle(graph, chosen)
-    print(f"set: {_fmt_edge_set(chosen)}")
+    edges, incident = family.index
+    row, chosen = max(zip(_bit_rows(family.tangled), family.tangled))
+    result = _detangle(graph, edges, incident, chosen, family.gamma ** 2)
+    print(f"set: {_fmt_edge_set(compress(edges, row))}")
     print(f"iterations: {result.iterations}")
     for i, step in enumerate(result.trace, start=1):
         print(f"step {i}: {_fmt_step(step)}")

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .errors import CapabilityError, DomainError, InvariantViolation
 from .graphs import Graph, _iter_bits, _tree_walk, _vertex_mask, is_tree, normalize_edge, perfect_matchings_within
@@ -59,11 +60,21 @@ class MinSetFamily:
     ``masks`` is ascending and duplicate-free; ``spans`` lines up with it
     and holds the vertices each member spans, so a paired set spans
     itself. ``edges`` is ``graph.edges``, as the search read it. ``sets``
-    is the view for printing and records, built on first use: a
+    is the view for records and referees, built on first use: a
     lexicographically sorted tuple of members, each itself a sorted tuple
     (of edges for kind "ev", of vertices for kind "paired"). ``index`` is
     ``(edges, _incidence(edges))``, built once, and so is ``tangled``, the
     ev members with a sharing pair.
+
+    ``rows`` holds each member as a row of 0/1 bytes, byte j its bit j,
+    in the order of ``sets``, which is the descending order of the rows.
+    Labels ascend with their index, so two members' sorted tuples first
+    differ where the lowest index in one member and not the other falls:
+    the member holding it has the smaller tuple and the larger row. That
+    needs members of one size, as every family's are. Otherwise a tuple
+    could end first and be the smaller one whatever it holds: (0,) sorts
+    before (0, 1), but its row is the smaller. ``sets`` and the command
+    line's listings pick each member's labels with its row.
     """
 
     kind: str
@@ -86,9 +97,13 @@ class MinSetFamily:
         return [members for members, span in zip(self.masks, self.spans) if span.bit_count() < limit]
 
     @cached_property
+    def rows(self) -> list[bytes]:
+        return sorted(_bit_rows(self.masks), reverse=True)
+
+    @cached_property
     def sets(self) -> tuple[tuple, ...]:
         labels = self.edges if self.kind == "ev" else range(self.graph.n)
-        return tuple(sorted([_edge_tuple(labels, mask) for mask in self.masks]))
+        return tuple([tuple(compress(labels, row)) for row in self.rows])
 
     def contains(self, members) -> bool:
         """Membership test that normalizes the candidate's ordering first."""
@@ -384,9 +399,20 @@ def _incidence(edges) -> list[int]:
     return incident
 
 
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_rows(masks) -> list[bytes]:
+    # each mask as 0/1 bytes up to its highest set bit, byte j its bit j, so
+    # that itertools.compress picks the labels of its set bits in index
+    # order. The missing high zeros change no comparison: where one row
+    # ends, the other row still holds a set bit, as its padded row would
+    return [bin(mask)[:1:-1].encode().translate(_ZERO_ONE) for mask in masks]
+
+
 def _edge_tuple(edges, mask: int) -> tuple:
     # the entries of edges (or of range(n), for a vertex mask) at the bits of mask, in index order
-    return tuple([edges[j] for j in _iter_bits(mask)])
+    return tuple(compress(edges, _bit_rows((mask,))[0]))
 
 
 def _normalized(edges) -> tuple[Edge, ...]:

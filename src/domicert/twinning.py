@@ -119,27 +119,16 @@ def detangle(graph: Graph, edges) -> DetangleResult:
         raise ValueError("the set has no sharing pair to rewrite")
     if pair[0] == pair[1]:
         raise ValueError("need two distinct edges")
-    edge_list, incident, current = _on_graph(graph, members)
-    cap = len(members) ** 2
-    trace: list[TwinningStep] = []
-    bits = _first_sharing_pair(edge_list, incident, current)
-    while bits is not None:
-        if len(trace) == cap:
-            raise InvariantViolation(f"detangle exceeded {cap} iterations")
-        a, b = bits
-        current, right, x, _ = _twin(graph, edge_list, incident, current, a, b)
-        trace.append(_step(edge_list[a.bit_length() - 1], edge_list[b.bit_length() - 1], x))
-        bits = _first_sharing_pair(edge_list, incident, current)
-    return DetangleResult(left=_edge_tuple(edge_list, current), right=_edge_tuple(edge_list, right),
-                          trace=tuple(trace), iterations=len(trace))
+    return _detangle(graph, *_on_graph(graph, members), len(members) ** 2)
 
 
 # The cores take a set as a bitmask ``members`` over the indices of a
 # sorted, duplicate-free edge list ``edges``, and ``incident[v]``, the
 # mask of the edges that meet vertex v (``_incidence``). The census runs
-# them on an ev family's ``index``, the graph's edge list and its
-# incidence; the public functions above check their tuple arguments once
-# and convert at this boundary. Bit order is lexicographic edge order.
+# them, and the command line runs ``_detangle``, on an ev family's
+# ``index``, the graph's edge list and its incidence; the public functions
+# above check their tuple arguments once and convert at this boundary.
+# Bit order is lexicographic edge order.
 def _on_graph(graph: Graph, members) -> tuple[tuple[Edge, ...], list[int], int]:
     # normalized members, each checked to be a graph edge, as the cores
     # take them: the graph's edge list, its incidence, and their mask
@@ -241,6 +230,21 @@ def _twin(graph: Graph, edges, incident, members: int, a: int, b: int) -> tuple[
     x_b = _private_vertex(graph, edges, members, b, outer_b)
     return (members ^ a | incident[x_a] & incident[outer_a], members ^ b | incident[x_b] & incident[outer_b],
             x_a, x_b)
+
+
+def _detangle(graph: Graph, edges, incident, members: int, cap: int) -> DetangleResult:
+    # ``detangle`` on members with a sharing pair, in at most cap steps
+    trace: list[TwinningStep] = []
+    bits = _first_sharing_pair(edges, incident, members)
+    while bits is not None:
+        if len(trace) == cap:
+            raise InvariantViolation(f"detangle exceeded {cap} iterations")
+        a, b = bits
+        members, right, x, _ = _twin(graph, edges, incident, members, a, b)
+        trace.append(_step(edges[a.bit_length() - 1], edges[b.bit_length() - 1], x))
+        bits = _first_sharing_pair(edges, incident, members)
+    return DetangleResult(left=_edge_tuple(edges, members), right=_edge_tuple(edges, right),
+                          trace=tuple(trace), iterations=len(trace))
 
 
 def _step(edge: Edge, other: Edge, x: int) -> TwinningStep:

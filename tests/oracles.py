@@ -19,6 +19,10 @@ by bit into an edge list for ``Graph``, kept as the referee for
 ``parse_graph6``; ``emit_graph6_naive``, the graph6 encoder that
 lists the payload bits column by column and repacks them six at a time,
 kept as the referee for ``emit_graph6``;
+``family_sets_naive`` and ``format_family_naive``, a family's sorted
+tuples and its ``enumerate`` listing as they were built before the
+listings were read off the bit rows, kept as referees for
+``MinSetFamily.sets`` and the command line's listings;
 ``cor_general_blocks`` and ``cor_general2_blocks``, the two
 corollary checks as overlapping blocks, kept as referees for the
 census's one-rule statements; and the ``*_tuples`` checks, the census's
@@ -399,6 +403,28 @@ def cor_general2_blocks(graph: Graph, ev: MinSetFamily, pr: MinSetFamily) -> boo
     if paired_unique and spans != {frozenset(pr.sets[0])}:
         return False
     return True
+
+
+def family_sets_naive(family: MinSetFamily) -> tuple[tuple, ...]:
+    """``family.sets`` as it was first built: each mask decoded bit by bit
+    into a tuple of edges (kind "ev") or vertices, and the tuples sorted."""
+    labels = family.graph.edges if family.kind == "ev" else range(family.graph.n)
+    return tuple(sorted(tuple(labels[j] for j in range(len(labels)) if mask >> j & 1) for mask in family.masks))
+
+
+def format_family_naive(family: MinSetFamily) -> str:
+    """The stdout of ``domicert enumerate`` for the family, as it was first
+    printed: the family line, then each sorted set, every edge formatted
+    by itself."""
+    label = "gamma_ev" if family.kind == "ev" else "gamma_pr"
+    count = len(family.masks)
+    lines = [f"{label} = {family.gamma}; {count} minimum set{'' if count == 1 else 's'}"]
+    for members in family_sets_naive(family):
+        if family.kind == "ev":
+            lines.append("{" + ", ".join(f"({e[0]},{e[1]})" for e in members) + "}")
+        else:
+            lines.append("{" + ", ".join(str(v) for v in sorted(members)) + "}")
+    return "".join(line + "\n" for line in lines)
 
 
 def tree_from_prufer(seq, n: int) -> Graph:

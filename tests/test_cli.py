@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import importlib.util
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from domicert import (
     GraphParseError,
     census,
     cli,
+    detangle,
     domination,
     emit_graph6,
     generate_connected_graphs,
@@ -25,11 +28,13 @@ from domicert import (
     parse_edge_list,
     sharing_pairs,
     solve_ev,
+    solve_pr,
 )
 from domicert.census import run_census
 from domicert.cli import main
 
 from .conftest import PENDANT_CYCLE_TEXT, SPIDER_TEXT, pendant_cycle
+from .oracles import format_family_naive, tree_from_prufer
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -38,6 +43,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def small_graphs(tree_max: int, connected_max: int) -> list[Graph]:
+    """Every tree with 2..tree_max vertices, then every connected graph with 2..connected_max."""
+    return ([g for n in range(2, tree_max + 1) for g in generate_trees(n)]
+            + [g for n in range(2, connected_max + 1) for g in generate_connected_graphs(n)])
+
+
+def prufer_trees(n: int) -> list[Graph]:
+    """The five trees on n vertices drawn as TestSearchKernel.test_reach_on_prufer_trees draws them."""
+    rng = random.Random(5)
+    return [tree_from_prufer([rng.randrange(n) for _ in range(n - 2)], n) for _ in range(5)]
 
 
 def python(*args, **popen_kwargs) -> subprocess.Popen:
@@ -152,6 +169,44 @@ class TestEnumerate:
         first = run_cli(capsys, "enumerate", "--kind", "ev", path)
         second = run_cli(capsys, "enumerate", "--kind", "ev", path)
         assert first == second
+
+
+class TestListingReferee:
+    # the listings are read off the members' bit rows; the referee sorts
+    # decoded tuples and formats every edge of every member by itself
+    @pytest.mark.parametrize("kind", ["ev", "pr"])
+    def test_enumerate_matches_former_listing(self, capsys, tmp_graph_file, kind):
+        solve = solve_ev if kind == "ev" else solve_pr
+        for g in small_graphs(10, 6) + prufer_trees(36):
+            path = tmp_graph_file(emit_graph6(g) + "\n", "graph.g6")
+            code, out, _ = run_cli(capsys, "enumerate", "--kind", kind, "--format", "g6", path)
+            assert (code, out) == (0, format_family_naive(solve(g)))
+
+
+class TestLargeFamilies:
+    # enumerate --kind ev on the five trees with 48 vertices, through a
+    # pipe: the family sizes and the stdout digests of the listing as it
+    # was printed one member at a time
+    PINS = [
+        (1536, "c2e06806437c9547b1ce3714954115f70f35e53bf92d191e317c682e288610b5"),
+        (256, "d8a6d84042a08ac63762b8105114168176e0245065d1165951e7eeababa36ad6"),
+        (4080, "9b663444b32b611ff596ee2913de8640fac9134a7bdfc3cdee64c3747ce23120"),
+        (61440, "9c60fb712c070fc3a63282ff0963e7187ae5e32bf2d377c741bc838deb538b23"),
+        (235008, "316b4c1f50b259b5f0d7de2c537a9e8583088485c537d2ebe11b9e320f583522"),
+    ]
+
+    @pytest.mark.long
+    def test_enumerate_digests_at_48(self, tmp_graph_file):
+        found = []
+        for g in prufer_trees(48):
+            proc = python("-m", "domicert.cli", "enumerate", "--kind", "ev", "--format", "g6",
+                          tmp_graph_file(emit_graph6(g) + "\n", "graph.g6"))
+            out, err = proc.communicate(timeout=300)
+            assert (proc.returncode, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[0].endswith(f"; {len(lines) - 1} minimum sets")
+            found.append((len(lines) - 1, hashlib.sha256(out.encode()).hexdigest()))
+        assert found == self.PINS
 
 
 class TestUniqueAndSpan:
@@ -309,6 +364,27 @@ class TestTwinAndDetangle:
                 assert (code, out.splitlines()[0]) == (0, "set: {" + ", ".join(f"({u},{v})" for u, v in chosen) + "}")
                 picked += 1
         assert 0 < picked < len(graphs)
+
+    def test_detangle_matches_the_public_detangle(self, capsys, tmp_graph_file):
+        # the command rewrites the family's mask through the detangle core;
+        # the referee hands the first listed set with a sharing pair to the
+        # public detangle, which checks and indexes it afresh
+        def edge_set(edges):
+            return "{" + ", ".join(f"({u},{v})" for u, v in edges) + "}"
+
+        for g in small_graphs(10, 6):
+            chosen = next((m for m in solve_ev(g).sets if sharing_pairs(m) > 0), None)
+            if chosen is None:
+                continue
+            result = detangle(g, chosen)
+            expected = [f"set: {edge_set(chosen)}", f"iterations: {result.iterations}"]
+            expected += [f"step {i}: replaced ({s.replaced_edge[0]},{s.replaced_edge[1]}) with "
+                         f"({s.inserted_edge[0]},{s.inserted_edge[1]}); private vertex {s.private_vertex}, "
+                         f"shared vertex {s.shared_vertex}" for i, s in enumerate(result.trace, start=1)]
+            expected += [f"left: {edge_set(result.left)}", f"right: {edge_set(result.right)}"]
+            path = tmp_graph_file(emit_graph6(g) + "\n", "graph.g6")
+            code, out, _ = run_cli(capsys, "detangle", "--format", "g6", path)
+            assert (code, out) == (0, "".join(line + "\n" for line in expected))
 
 
 class TestBenchmarkReference:

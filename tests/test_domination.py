@@ -32,6 +32,7 @@ from domicert.domination import DEFAULT_BUDGET, _min_edge_covers
 
 from .conftest import cycle_graph, path_graph, pendant_cycle, spider_222
 from .oracles import (
+    family_sets_naive,
     gamma_ev_tree_triples,
     min_edge_covers_sorted,
     min_ev_family_naive,
@@ -259,6 +260,18 @@ class TestSolveFamilies:
             assert (pr.gamma, list(pr.sets)) == min_pr_family_naive(g)
 
         check()
+
+
+class TestSetsView:
+    # sets picks each member's labels with its bit row, in descending row
+    # order; the referee decodes each mask bit by bit and sorts the tuples
+    def test_matches_former_build(self):
+        graphs = [g for n in range(2, 13) for g in generate_trees(n)]
+        graphs += [g for n in range(2, 8) for g in generate_connected_graphs(n)]
+        assert len(graphs) == 1981
+        for g in graphs:
+            for family in solve_families(g):
+                assert family.sets == family_sets_naive(family)
 
 
 class TestSearchKernel:

@@ -36,7 +36,7 @@ class TestSharingPairs:
         assert sharing_pairs([(0, 1), (1, 0), (1, 2)]) == 1
 
     def test_rejects_negative_vertex(self):
-        # a negative id would index the incidence list from its far end
+        # ids are refused below 0, before the vertices are ranked
         with pytest.raises(ValueError, match="vertex -1 out of range"):
             sharing_pairs([(-1, 0), (2, 3)])
 
