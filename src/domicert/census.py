@@ -255,22 +255,38 @@ def _connected_levels(n_max: int, mapper=map):
 
 def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
     # (code, first mask) of each child class of g that survives the two
-    # rules, in mask order
+    # rules, in mask order. In a child with k = popcount(mask), a vertex of
+    # degree d in g outranks the newcomer when d > k, or d == k and it is
+    # in mask, so only those rivals are tested for being non-cut
     newcomer = g.n
     full = (1 << newcomer) - 1
     bits = g.nbr_bits
     twins = [(1 << x | 1 << y, 1 << y) for x, y in _twin_pairs(bits)]
-    degree = [b.bit_count() for b in bits]
     parts = [_components(g, full ^ 1 << x) for x in range(newcomer)]
+    above = [0] * (newcomer + 1)
+    equal = [0] * (newcomer + 1)
+    for x, b in enumerate(bits):
+        d = b.bit_count()
+        equal[d] |= 1 << x
+        for k in range(d):
+            above[k] |= 1 << x
     found: dict[bytes, int] = {}
     for mask in range(1, 1 << newcomer):
         if any(mask & pair == y for pair, y in twins):
             continue
         k = mask.bit_count()
-        if any(degree[x] + (mask >> x & 1) > k and all(c & mask for c in parts[x])
-               for x in range(newcomer)):
-            continue
-        found.setdefault(canonical_code(_attach(g, mask)), mask)
+        rivals = above[k] | equal[k] & mask
+        outranked = False
+        while rivals and not outranked:
+            low = rivals & -rivals
+            rivals ^= low
+            outranked = True
+            for part in parts[low.bit_length() - 1]:
+                if not part & mask:
+                    outranked = False  # the rival is a cut vertex of the child
+                    break
+        if not outranked:
+            found.setdefault(canonical_code(_attach(g, mask)), mask)
     return list(found.items())
 
 
@@ -403,6 +419,10 @@ class CensusConfig:
     def __post_init__(self):
         if self.family not in (TREES, CONNECTED):
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("n_min", "n_max", "worker_count", "budget"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
         bound = TREE_GENERATION_BOUND if self.family == TREES else CONNECTED_GENERATION_BOUND

@@ -425,24 +425,54 @@ def _twin_pairs(bits: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def _refine_colors(bits: tuple[int, ...]) -> list[int]:
     # Iterated neighborhood color refinement; ids depend only on structure.
-    # Vertices of one color have one degree, so ranking them by (color,
-    # minus the neighbor count in each class) orders them exactly as
-    # ranking by (color, sorted neighbor colors) would. A discrete coloring
-    # is stable, so it is returned without a confirming round.
+    # The classes start as the degree classes in degree order. A round
+    # ranks the members of each class by one packed integer, a digit
+    # n - count per splitting class (count: the member's neighbors in it;
+    # 1..n fits in n.bit_length() bits), and puts the parts in key order
+    # where the class stood. Members of one class have equal counts in
+    # every class that the round before did not make, so after the first
+    # round only the new classes split. Vertices of one color have one
+    # degree, so this orders them exactly as ranking by (color, sorted
+    # neighbor colors) would. A round that splits nothing, or a discrete
+    # coloring, is stable.
+    n = len(bits)
+    width = n.bit_length()
     degree = [b.bit_count() for b in bits]
     palette = sorted(set(degree))
-    color = [palette.index(d) for d in degree]
-    classes = len(palette)
-    while classes < len(bits):
-        masks = [0] * classes
-        for v, c in enumerate(color):
-            masks[c] |= 1 << v
-        sigs = [(c, *[-(b & m).bit_count() for m in masks]) for c, b in zip(color, bits)]
-        table = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        fresh = [table[sig] for sig in sigs]
-        if fresh == color:
-            return color
-        color, classes = fresh, len(table)
+    cells = [0] * len(palette)
+    for v, d in enumerate(degree):
+        cells[palette.index(d)] |= 1 << v
+    splitters = cells
+    while splitters and len(cells) < n:
+        fresh: list[int] = []
+        made: list[int] = []
+        for cell in cells:
+            if not cell & cell - 1:  # one member
+                fresh.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = bits[low.bit_length() - 1]
+                key = 0
+                for m in splitters:
+                    key = key << width | n - (b & m).bit_count()
+                parts[key] = parts.get(key, 0) | low
+            if len(parts) > 1:
+                ordered = [parts[key] for key in sorted(parts)]
+                fresh += ordered
+                made += ordered
+            else:
+                fresh.append(cell)
+        cells, splitters = fresh, made
+    color = [0] * n
+    for c, cell in enumerate(cells):
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            color[low.bit_length() - 1] = c
     return color
 
 
@@ -476,30 +506,45 @@ def _min_adjacency_bytes(n: int, bits: tuple[int, ...]) -> bytes:
     used = 0
 
     def descend(pos: int) -> None:
+        # fills positions pos.. and leaves ``used`` as it found it; only a
+        # position with two or more candidates recurses, one per candidate
         nonlocal used
-        if pos == n:
-            return
-        ranked = []
-        for v in slot_class[pos]:
-            if used & (smaller[v] | 1 << v) != smaller[v]:
-                continue
-            row = 0
-            vb = bits[v]
-            for i in range(pos):
-                row = row << 1 | (vb >> placed[i] & 1)
-            ranked.append((row, v))
-        ranked.sort()
-        for row, v in ranked:
+        entry = used
+        while pos < n:
+            ranked = []
+            prefix = placed[:pos]
+            for v in slot_class[pos]:
+                if used & (smaller[v] | 1 << v) != smaller[v]:
+                    continue
+                row = 0
+                vb = bits[v]
+                for u in prefix:
+                    row = row << 1 | (vb >> u & 1)
+                ranked.append((row, v))
+            if len(ranked) > 1:
+                ranked.sort()
+            row = ranked[0][0]
             if row > best[pos]:
                 break
             if row < best[pos]:
                 best[pos] = row
-                for k in range(pos + 1, n):
-                    best[k] = infinity
-            placed[pos] = v
-            used |= 1 << v
-            descend(pos + 1)
-            used &= ~(1 << v)
+                best[pos + 1:] = [infinity] * (n - pos - 1)
+            if len(ranked) == 1:
+                v = ranked[0][1]
+                placed[pos] = v
+                used |= 1 << v
+                pos += 1
+                continue
+            # deeper calls rewrite only deeper slots, so best[pos] stays row
+            for tied, v in ranked:
+                if tied > row:
+                    break
+                placed[pos] = v
+                used |= 1 << v
+                descend(pos + 1)
+                used &= ~(1 << v)
+            break
+        used = entry
 
     descend(0)
     del descend  # descend reaches itself through its closure; unbinding it leaves no cycle to collect

@@ -6,7 +6,10 @@ by explicit combinations, domination checked vertex by vertex through
 neighbor lists, matchings found by trying disjoint edge subsets, trees
 enumerated from labeled sequences and deduplicated, components found by
 union-find over the edge list, colors refined by sorting neighbor-color
-lists, canonical codes minimized over every color-respecting ordering.
+lists, canonical codes minimized over every color-respecting ordering,
+the level pass's children filtered mask by mask, each rival of the
+newcomer tested for a cut vertex by the connectivity of the child
+without it.
 The lemma1 referee replays detangle from the definitions, then runs
 the package's ``detangle`` and requires the same outcome. Former package routines are
 the exceptions: ``min_edge_covers_sorted``, the search kernel that
@@ -516,6 +519,29 @@ def components_union_find(edges, alive) -> set[frozenset[int]]:
     for v in leader:
         parts.setdefault(find(v), set()).add(v)
     return {frozenset(part) for part in parts.values()}
+
+
+def child_codes_naive(g: Graph) -> list[tuple[bytes, int]]:
+    """(code, first mask) of each child class of g that the level pass
+    keeps, mask by mask in mask order: a child joining a newcomer to the
+    vertices in mask is dropped when the mask holds a twin y but not its
+    smaller twin x, or when some vertex x has a larger degree than the
+    newcomer and the child stays connected without x."""
+    from domicert import induced_subgraph, is_connected
+
+    n = g.n
+    twins = [(x, y) for y in range(n) for x in range(y) if set(g.adj[x]) - {y} == set(g.adj[y]) - {x}]
+    found: dict[bytes, int] = {}
+    for mask in range(1, 1 << n):
+        if any(mask >> y & 1 and not mask >> x & 1 for x, y in twins):
+            continue
+        child = Graph(n + 1, [*g.edges, *((v, n) for v in range(n) if mask >> v & 1)])
+        if any(child.degree(x) > child.degree(n)
+               and is_connected(induced_subgraph(child, [v for v in range(n + 1) if v != x])[0])
+               for x in range(n)):
+            continue
+        found.setdefault(canonical_code(child), mask)
+    return list(found.items())
 
 
 def connected_classes_labeled(n: int) -> set[bytes]:

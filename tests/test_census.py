@@ -41,6 +41,7 @@ from domicert.domination import DEFAULT_BUDGET, _edge_tuple, _incidence
 
 from .conftest import edge_mask, family_of, minimum_of, path_graph, pendant_cycle, spider_222
 from .oracles import (
+    child_codes_naive,
     claim_tuples,
     components_union_find,
     connected_classes_labeled,
@@ -170,6 +171,13 @@ class TestConnectedGeneration:
                             assert canonical_code(_child(g, mask)) == canonical_code(_child(g, swapped))
         assert dropped > 0
 
+    def test_child_codes_against_per_mask_referee(self):
+        # every connected parent with n <= 6, so children up to n = 7
+        parents = [g for reps in census._connected_levels(6) for g in reps]
+        assert len(parents) == 143
+        for g in parents:
+            assert census._child_codes(g) == child_codes_naive(g)
+
     def test_deterministic_order(self):
         first = [g.edges for g in generate_connected_graphs(5)]
         second = [g.edges for g in generate_connected_graphs(5)]
@@ -213,11 +221,22 @@ class TestPinnedCodes:
                 digest.update(canonical_code(g) + b" " + emit_graph6(g).encode() + b"\n")
         assert digest.hexdigest() == "f1a9515cc7026d53af96578fc6506a1e3fdf390d57df4d6574b0c7784cf22cb1"
 
-    def test_connected_generation_at_eight(self):
+    def test_connected_generation_at_eight(self, monkeypatch):
+        # the children coded per level are pinned too: the two rules of the
+        # level pass decide how many reach canonical_code
+        coded = Counter()
+        code = census.canonical_code
+
+        def counting(graph):
+            coded[graph.n] += 1
+            return code(graph)
+
+        monkeypatch.setattr(census, "canonical_code", counting)
         digest = hashlib.sha256()
         for g in generate_connected_graphs(8):
             digest.update((emit_graph6(g) + "\n").encode())
         assert digest.hexdigest() == "35b9545372565c4c3b61aabdc7d9bd2af870bc8f03c7e4b113526dc81509e897"
+        assert [coded[n] for n in range(2, 9)] == [1, 2, 6, 31, 165, 1480, 19429]
 
     def test_pooled_level_pass_matches_serial(self):
         # each level's children coded in a real pool: the merge keeps the
@@ -534,6 +553,11 @@ class TestCensusConfig:
             CensusConfig(family="trees", n_min=2, n_max=4, worker_count=WORKER_BOUND + 1)
         with pytest.raises(ValueError):
             CensusConfig(family="trees", n_min=2, n_max=4, budget=0)
+        # every count must be an int, and a bool is not one
+        for field, value in [("n_min", 2.0), ("n_max", 5.0), ("n_max", "5"), ("worker_count", True),
+                             ("worker_count", 2.0), ("budget", 1.5), ("budget", True)]:
+            with pytest.raises(ValueError, match=f"{field} must be an int"):
+                CensusConfig(**{"family": "connected_graphs", "n_min": 2, "n_max": 5, field: value})
 
     def test_worker_bound_inclusive(self):
         cfg = CensusConfig(family="trees", n_min=2, n_max=4, worker_count=WORKER_BOUND)

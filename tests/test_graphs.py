@@ -451,6 +451,30 @@ class TestCanonicalCode:
             for perm in permutations(range(6)):
                 assert canonical_code(_relabel(g, perm)) == want
 
+    @pytest.mark.parametrize("name", ["complete", "cocktail_party", "cycle", "hub"])
+    def test_refinement_and_codes_at_the_bound(self, name):
+        # the packed refinement keys take their digit width from n, so the
+        # largest n a general code is promised for is tested directly
+        n = GENERAL_CANONICAL_BOUND
+        g = {
+            "complete": Graph(n, combinations(range(n), 2)),
+            # K12 minus a perfect matching
+            "cocktail_party": Graph(n, [(u, v) for u, v in combinations(range(n), 2) if v != u + n // 2]),
+            "cycle": cycle_graph(n),
+            # a degree-11 hub over a path, a triangle, a 4-cycle and a pendant
+            "hub": Graph(n, [(0, v) for v in range(1, n)]
+                         + [(1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (9, 10), (7, 10)]),
+        }[name]
+        assert _refine_colors(g.nbr_bits) == refine_colors_naive(g)
+        want = canonical_code(g)
+        rng = random.Random(n)
+        for _ in range(50):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            image = _relabel(g, perm)
+            assert _refine_colors(image.nbr_bits) == refine_colors_naive(image)
+            assert canonical_code(image) == want
+
     def test_general_bound(self):
         with pytest.raises(CapabilityError):
             canonical_code(cycle_graph(13))
