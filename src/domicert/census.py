@@ -40,17 +40,13 @@ The others are facts the census finds:
 
 from __future__ import annotations
 
-import json
 import signal
 import threading
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from importlib import resources
 from itertools import islice
-from multiprocessing import Pool
 
-from .domination import DEFAULT_BUDGET, MinSetFamily, solve_families
+from .domination import DEFAULT_BUDGET, MinSetFamily, _Record, solve_families
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
 from .graphs import (
     Graph,
@@ -405,18 +401,15 @@ def _validated_checks(checks) -> tuple[str, ...]:
 # --- census runs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusConfig:
+class CensusConfig(_Record):
     """A census request; validated on construction."""
 
-    family: str
-    n_min: int
-    n_max: int
-    checks: tuple[str, ...] = STANDARD_CHECKS
-    worker_count: int = 1
-    budget: int = DEFAULT_BUDGET
+    _fields = ("family", "n_min", "n_max", "checks", "worker_count", "budget")
 
-    def __post_init__(self):
+    def __init__(self, family: str, n_min: int, n_max: int, checks: tuple[str, ...] = STANDARD_CHECKS,
+                 worker_count: int = 1, budget: int = DEFAULT_BUDGET):
+        self.__dict__.update(family=family, n_min=n_min, n_max=n_max, checks=checks, worker_count=worker_count,
+                             budget=budget)
         if self.family not in (TREES, CONNECTED):
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("n_min", "n_max", "worker_count", "budget"):
@@ -428,20 +421,24 @@ class CensusConfig:
         bound = TREE_GENERATION_BOUND if self.family == TREES else CONNECTED_GENERATION_BOUND
         if self.n_max > bound:
             raise ValueError(f"family {self.family} supports n_max <= {bound}")
-        object.__setattr__(self, "checks", _validated_checks(self.checks))
+        self.__dict__["checks"] = _validated_checks(self.checks)
         if not 1 <= self.worker_count <= WORKER_BOUND:
             raise ValueError(f"need 1 to {WORKER_BOUND} workers, got {self.worker_count}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
 
-@dataclass
-class CensusReport:
+class CensusReport(_Record):
     """Aggregated verdicts; the JSON form is canonical and timing-free."""
 
-    config: CensusConfig
-    per_n: dict[int, dict]
-    wall_time_seconds: float
+    _fields = ("config", "per_n", "wall_time_seconds")
+    # mutable, and so unhashable
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, config: CensusConfig, per_n: dict[int, dict], wall_time_seconds: float):
+        self.__dict__.update(config=config, per_n=per_n, wall_time_seconds=wall_time_seconds)
 
     def payload(self) -> dict:
         # wall time and worker count stay out: equal configurations must
@@ -470,6 +467,8 @@ class CensusReport:
         }
 
     def to_json(self) -> str:
+        import json  # only a written report needs it
+
         return json.dumps(self.payload(), indent=2, sort_keys=True) + "\n"
 
     @property
@@ -529,17 +528,29 @@ def run_census(config: CensusConfig) -> CensusReport:
     return CensusReport(config, per_n, time.perf_counter() - start)
 
 
+def Pool(processes: int):
+    # multiprocessing.Pool, imported on the first pooled census: only a pool
+    # needs multiprocessing, and importing it costs every process about 5 ms
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
+
+
 def _start_pool(worker_count: int):
     # forked workers keep SIGINT ignored: a Ctrl-C reaches the whole process
     # group, and only the parent acts on it, by terminating the pool.
-    # signal.signal works only in the main thread.
-    if threading.current_thread() is not threading.main_thread():
-        return Pool(worker_count)
-    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # signal.signal works only in the main thread. Pool is looked up here,
+    # at call time; on a platform without a working sem_open it raises
+    # ImportError
+    main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN) if main else None
     try:
         return Pool(worker_count)
+    except ImportError as exc:
+        raise CapabilityError(f"cannot start a pool of {worker_count} census workers: {exc}") from None
     finally:
-        signal.signal(signal.SIGINT, previous)
+        if main:
+            signal.signal(signal.SIGINT, previous)
 
 
 def _census_task(graph: Graph, checks, budget: int, connected: bool = True):
@@ -577,6 +588,8 @@ def _census_task(graph: Graph, checks, budget: int, connected: bool = True):
 
 def figure1_graph() -> Graph:
     """The bundled pendant-cycle fixture: a 4-cycle, one pendant per cycle vertex."""
+    from importlib import resources  # only the bundled fixture needs it
+
     text = resources.files("domicert").joinpath("data/figure1.edges").read_text(encoding="utf-8")
     return parse_edge_list(text)
 

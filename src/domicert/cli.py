@@ -297,8 +297,10 @@ def _cmd_census(args, budget: int) -> int:
           f"{_plural(report.counterexample_count, 'counterexample')}, "
           f"{report.skip_count} skipped")
     if args.out:
+        # the text is complete before the old report is truncated
+        text = report.to_json()
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
+            handle.write(text)
         print(f"report written to {args.out}")
     print(f"wall time: {report.wall_time_seconds:.2f}s", file=sys.stderr)
     if report.counterexample_count:

@@ -39,7 +39,6 @@ three solvers spend the same nodes on a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
@@ -51,8 +50,32 @@ DEFAULT_BUDGET = 10**8
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class MinSetFamily:
+class _Record:
+    # a result record: ==, hash and repr over the fields named in _fields,
+    # in constructor order, as on a dataclass. Constructors write the fields
+    # to the instance dict, as cached_property does; setting or deleting an
+    # attribute otherwise raises AttributeError, as on a frozen dataclass
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class MinSetFamily(_Record):
     """Every minimum set of one kind for one graph.
 
     Each member is a bitmask: bit j of an ev-set stands for
@@ -77,12 +100,11 @@ class MinSetFamily:
     line's listings pick each member's labels with its row.
     """
 
-    kind: str
-    gamma: int
-    masks: tuple[int, ...]
-    spans: tuple[int, ...]
-    graph: Graph
-    edges: tuple[Edge, ...] = field(repr=False, compare=False)
+    _fields = ("kind", "gamma", "masks", "spans", "graph")  # edges stays out
+
+    def __init__(self, kind: str, gamma: int, masks: tuple[int, ...], spans: tuple[int, ...], graph: Graph,
+                 edges: tuple[Edge, ...]):
+        self.__dict__.update(kind=kind, gamma=gamma, masks=masks, spans=spans, graph=graph, edges=edges)
 
     @cached_property
     def index(self) -> tuple[tuple[Edge, ...], list[int]]:
@@ -111,8 +133,7 @@ class MinSetFamily:
         return probe in self.sets
 
 
-@dataclass(frozen=True)
-class UniquenessVerdict:
+class UniquenessVerdict(_Record):
     """Outcome of a uniqueness query.
 
     ``common_span`` is only present when every witness covers the same
@@ -121,10 +142,10 @@ class UniquenessVerdict:
     ``family`` is the minimum family the verdict was read from.
     """
 
-    unique: bool
-    witness_count: int
-    common_span: frozenset[int] | None
-    family: MinSetFamily = field(repr=False, compare=False)
+    _fields = ("unique", "witness_count", "common_span")  # family stays out
+
+    def __init__(self, unique: bool, witness_count: int, common_span: frozenset[int] | None, family: MinSetFamily):
+        self.__dict__.update(unique=unique, witness_count=witness_count, common_span=common_span, family=family)
 
 
 def ev_dominates(graph: Graph, edge: Edge, vertex: int) -> bool:

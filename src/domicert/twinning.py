@@ -11,26 +11,24 @@ whole set. ``detangle`` performs that iteration deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .domination import Edge, _edge_tuple, _incidence, _normalized, _require_edge
+from .domination import Edge, _Record, _edge_tuple, _incidence, _normalized, _require_edge
 from .errors import InvariantViolation, NotMinimumWitness
 from .graphs import Graph, normalize_edge
 
 
-@dataclass(frozen=True)
-class TwinningStep:
+class TwinningStep(_Record):
     """One edge swap: replaced_edge left the set, inserted_edge joined it."""
 
-    replaced_edge: Edge
-    inserted_edge: Edge
-    private_vertex: int
-    shared_vertex: int
+    _fields = ("replaced_edge", "inserted_edge", "private_vertex", "shared_vertex")
+
+    def __init__(self, replaced_edge: Edge, inserted_edge: Edge, private_vertex: int, shared_vertex: int):
+        self.__dict__.update(replaced_edge=replaced_edge, inserted_edge=inserted_edge,
+                             private_vertex=private_vertex, shared_vertex=shared_vertex)
 
 
-@dataclass(frozen=True)
-class DetangleResult:
+class DetangleResult(_Record):
     """Two sharing-free rewrites of the same input set.
 
     ``left`` is the fixed point of always rewriting the first branch,
@@ -40,10 +38,11 @@ class DetangleResult:
     edge, passes through every left set and ends at ``left``.
     """
 
-    left: tuple[Edge, ...]
-    right: tuple[Edge, ...]
-    trace: tuple[TwinningStep, ...]
-    iterations: int
+    _fields = ("left", "right", "trace", "iterations")
+
+    def __init__(self, left: tuple[Edge, ...], right: tuple[Edge, ...], trace: tuple[TwinningStep, ...],
+                 iterations: int):
+        self.__dict__.update(left=left, right=right, trace=trace, iterations=iterations)
 
 
 def sharing_pairs(edges) -> int:

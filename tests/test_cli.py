@@ -478,6 +478,19 @@ class TestCensusCommand:
         assert seen == ["old\n"]
         assert json.loads(out_path.read_text())["totals"]["graphs_examined"] == 7
 
+    def test_failed_serialisation_keeps_existing_report(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "report.json"
+        out_path.write_bytes(b"old\n")
+
+        def failing(report):
+            raise ValueError("cannot serialise")
+
+        monkeypatch.setattr(census.CensusReport, "to_json", failing)
+        code, _, err = run_cli(capsys, "census", "--family", "trees",
+                               "--n-min", "2", "--n-max", "4", "--out", str(out_path))
+        assert (code, err) == (2, "error: cannot serialise\n")
+        assert out_path.read_bytes() == b"old\n"
+
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
     def test_ctrl_c_stops_census_and_workers(self):
         # SIGINT goes to the whole process group, as a terminal's Ctrl-C does.
@@ -517,6 +530,18 @@ class TestCensusCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: need 1 to {census.WORKER_BOUND} workers, got {census.WORKER_BOUND + 1}\n"
+
+    def test_pool_that_cannot_start_exits_three(self, capsys, monkeypatch):
+        # as on a platform without a working sem_open
+        def no_sem_open(workers):
+            raise ImportError("This platform lacks a functioning sem_open implementation")
+
+        monkeypatch.setattr(census, "Pool", no_sem_open)
+        code, out, err = run_cli(capsys, "census", "--family", "trees", "--n-min", "2",
+                                 "--n-max", "4", "--workers", "2")
+        assert (code, out) == (3, "")
+        assert err == ("capability error: cannot start a pool of 2 census workers: "
+                       "This platform lacks a functioning sem_open implementation\n")
 
 
 class TestParserReuse:

@@ -1,9 +1,13 @@
-"""Import hygiene: every package module uses each name it imports, and
-every name the package exports resolves."""
+"""Import hygiene: every package module uses each name it imports, every
+name the package exports resolves, and importing the package loads none
+of the standard modules that only some commands need."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import domicert
@@ -44,3 +48,15 @@ def test_unused_import_is_reported(tmp_path):
 def test_exported_names_resolve():
     assert len(set(domicert.__all__)) == len(domicert.__all__)
     assert [name for name in domicert.__all__ if not hasattr(domicert, name)] == []
+
+
+def test_import_defers_what_only_some_commands_use():
+    # a fresh interpreter without site; a pooled census loads
+    # multiprocessing, a written report json, the bundled fixture
+    # importlib.resources, and nothing loads dataclasses or inspect
+    deferred = ("multiprocessing", "dataclasses", "inspect", "json", "importlib.resources")
+    code = ("import sys, domicert, domicert.census, domicert.cli; "
+            f"print([name for name in {deferred!r} if name in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
