@@ -3,12 +3,12 @@
 The census enumerates every isomorphism class in a size range, runs a
 configurable set of named checks against each graph, and aggregates the
 verdicts into a deterministic report: identical configurations produce
-byte-identical JSON regardless of worker count. Trees stream from the
-generator to the checks. Connected graphs are built level by level
-first, each level from the one below with every parent's children coded
-in the census pool, and then checked. Once the checks are drained, the
-graphs counted per vertex count are cross-checked against independently
-known class counts.
+byte-identical JSON regardless of worker count. Graphs stream to the
+checks: trees from their generator, connected graphs from a level pass
+that builds each level from the one below, coding every parent's
+children in the census pool, and hands on each class once its parent is
+merged. Once the checks are drained, the graphs counted per vertex count
+are cross-checked against independently known class counts.
 
 Check names. ``solve_families`` builds the paired family from the ev
 search, as the spans of the minimum ev-sets that are matchings, so three
@@ -43,8 +43,9 @@ from __future__ import annotations
 import signal
 import threading
 import time
+from collections import deque
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import groupby, islice
 
 from .domination import DEFAULT_BUDGET, MinSetFamily, _Record, solve_families
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
@@ -71,8 +72,8 @@ CONNECTED_GENERATION_BOUND = max(_CONNECTED_CLASS_COUNTS)
 # largest census pool; a fixed cap rather than the host's CPU count, so a
 # configuration is valid or not the same way on every machine
 WORKER_BOUND = 32
-# graphs per pool task; batching spreads the pickling and messaging of a
-# task over several small graphs
+# graphs per check batch and most parents per coding task: batching spreads
+# the pickling and messaging of a pool task over several small graphs
 CHUNK_SIZE = 64
 
 REPORT_VERSION = "report-v1"
@@ -219,9 +220,8 @@ def _levels_to_graph(levels) -> Graph:
 #   automorphisms, keeps too.
 #
 # Each survivor is coded by ``canonical_code``, on a Graph built on its
-# neighbour masks, which are not checked again.
-# Each parent's children are coded on their own (``_child_codes``), so a
-# pool can code a level's parents in parallel.
+# neighbour masks, which are not checked again. Each parent's children are
+# coded on their own (``_child_codes``), so a pool can code them in parallel.
 
 
 def generate_connected_graphs(n: int):
@@ -234,19 +234,28 @@ def generate_connected_graphs(n: int):
 
 
 def _connected_levels(n_max: int, mapper=map):
-    # the representatives of each level m = 1..n_max, in class order; the
-    # children of each level's parents are coded through ``mapper``, and
-    # the first (parent, mask) per code in parent order is kept, so any
-    # order-preserving mapper gives the representatives of a serial pass
+    # the representatives of each level m = 1..n_max, in class order
+    yield [Graph(1, ())]
+    for _, level in groupby(_connected_classes(n_max, mapper), lambda found: found[1].n):
+        yield [g for _, g in sorted(level)]
+
+
+def _connected_classes(n_max: int, mapper=map):
+    # (code, representative) of each class on 2..n_max vertices, once its
+    # parent's children are merged: ``mapper`` codes them in parent order,
+    # and the first (parent, mask) per code is kept, as in a serial pass.
+    # Of the last level, only the codes are kept
     reps = [Graph(1, ())]
-    yield reps
-    for _ in range(2, n_max + 1):
-        found: dict[bytes, tuple[Graph, int]] = {}
+    for m in range(2, n_max + 1):
+        found: dict[bytes, Graph | None] = {}
         for g, children in zip(reps, mapper(_child_codes, reps)):
             for code, mask in children:
-                found.setdefault(code, (g, mask))
-        reps = [_attach(*found[c]) for c in sorted(found)]
-        yield reps
+                if code not in found:
+                    child = _attach(g, mask)
+                    found[code] = child if m < n_max else None
+                    yield code, child
+        if m < n_max:
+            reps = [found[c] for c in sorted(found)]
 
 
 def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
@@ -488,31 +497,43 @@ def run_census(config: CensusConfig) -> CensusReport:
     per_n = {n: {"graphs_examined": 0, "expected_count": class_count(n), "counterexamples": [],
                  "verdicts": {name: dict.fromkeys(VERDICTS, 0) for name in config.checks}}
              for n in sizes}
-    task = partial(_census_task, checks=config.checks, budget=config.budget)
-    pool = _start_pool(config.worker_count) if config.worker_count > 1 else None
+    task = partial(_census_batch, checks=config.checks, budget=config.budget)
+    workers = config.worker_count
+    pool = _start_pool(workers) if workers > 1 else None
     try:
-        # one order-preserving mapper for the level pass and the checks
-        mapper = map if pool is None else partial(pool.imap, chunksize=CHUNK_SIZE)
+        mapper = map
+        if pool is not None:
+            # four coding tasks per worker, so that every worker shares each level
+            mapper = lambda func, items: pool.imap(func, items, min(CHUNK_SIZE, max(1, len(items) // (4 * workers))))
         if config.family == TREES:
-            # trees stream: each graph is checked as it is generated
-            levels = (generate_trees(n) for n in sizes)
+            graphs = (g for n in sizes for g in generate_trees(n))
         else:
-            # one level pass: level n is built from level n-1, so the levels
-            # below n_min are built once and not checked. The levels are
-            # listed before the checks start, because the pool codes their
-            # children and cannot also draw check tasks from a generator
-            # that waits on it.
-            levels = list(islice(_connected_levels(config.n_max, mapper), config.n_min - 1, None))
-        results = mapper(task, (g for level in levels for g in level))
-        for n, verdicts, examples in results:
-            record = per_n[n]
-            record["graphs_examined"] += 1
-            for name, verdict in verdicts.items():
-                record["verdicts"][name][verdict] += 1
-            record["counterexamples"].extend(examples)
+            # one level pass: the levels below n_min are built, not checked
+            graphs = (g for _, g in _connected_classes(config.n_max, mapper) if g.n >= config.n_min)
+        if pool is None:
+            # one batch: each graph is checked before the next is generated
+            batches, window, submit = iter([graphs]), 1, lambda batch: partial(task, batch)
+        else:
+            # lists, as the pool feeds one submitted iterable at a time: one
+            # waiting on the level pass would starve its coding tasks
+            batches, window = iter(lambda: list(islice(graphs, CHUNK_SIZE)), []), 2 * workers
+            submit = lambda batch: pool.apply_async(task, (batch,)).get
+        pending = deque()  # at most ``window`` batches in flight
+        while (batch := next(batches, None)) is not None or pending:
+            if batch is not None:
+                pending.append(submit(batch))
+            if len(pending) == window or batch is None:
+                tally, examples = pending.popleft()()
+                for (n, verdicts), count in tally.items():
+                    record = per_n[n]
+                    record["graphs_examined"] += count
+                    for name, verdict in zip(config.checks, verdicts):
+                        record["verdicts"][name][verdict] += count
+                for n, example in examples:
+                    per_n[n]["counterexamples"].append(example)
     except BaseException:
         # stop the workers at once; a closed pool would still feed them
-        # every task left in the imap
+        # every task left in its queue
         if pool is not None:
             pool.terminate()
             pool.join()
@@ -551,6 +572,19 @@ def _start_pool(worker_count: int):
     finally:
         if main:
             signal.signal(signal.SIGINT, previous)
+
+
+def _census_batch(graphs, checks, budget: int):
+    # the count of each (n, verdicts in ``checks`` order) over a batch of
+    # graphs, and each counterexample record with its n
+    tally, examples = {}, []
+    for graph in graphs:
+        n, verdicts, found = _census_task(graph, checks, budget)
+        key = n, tuple(verdicts.values())
+        tally[key] = tally.get(key, 0) + 1
+        for example in found:
+            examples.append((n, example))
+    return tally, examples
 
 
 def _census_task(graph: Graph, checks, budget: int, connected: bool = True):

@@ -3,11 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import signal
+import subprocess
+import sys
 import threading
 from collections import Counter
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -573,6 +577,65 @@ class TestCensusConfig:
         assert cfg.checks == ("claim", "thm1")
 
 
+class RecordingPool:
+    """A serial stand-in for the census pool that records what it is given.
+
+    A coding ``imap`` runs each task as its result is read; an
+    ``apply_async`` batch runs when its ``get`` is called, so a batch is
+    in flight from its submit event to its get event.
+    """
+
+    failing = False
+
+    def __init__(self, workers):
+        self.events = [("pool", workers)]
+
+    def imap(self, func, iterable, chunksize):
+        items = list(iterable)
+        self.events.append(("imap", func, chunksize, len(items)))
+        return map(self._coded, items, map(func, items))
+
+    def _coded(self, parent, children):
+        self.events.append(("coded", parent.n + 1))
+        return children
+
+    def apply_async(self, func, args):
+        self.events.append(("submit", *args))
+        return self._Result(self, func, args)
+
+    class _Result:
+        def __init__(self, pool, func, args):
+            self.pool, self.func, self.args = pool, func, args
+
+        def get(self):
+            self.pool.events.append(("get",))
+            if self.pool.failing:
+                raise RuntimeError("worker failed")
+            return self.func(*self.args)
+
+    def close(self):
+        self.events.append(("close",))
+
+    def terminate(self):
+        self.events.append(("terminate",))
+
+    def join(self):
+        self.events.append(("join",))
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Every census pool started during the test, each a RecordingPool."""
+    pools = []
+
+    def start(workers):
+        pools.append(RecordingPool(workers))
+        return pools[-1]
+
+    monkeypatch.setattr(census, "Pool", start)
+    return pools
+
+
 class TestRunCensus:
     def test_trees_vacuous_counts(self):
         report = run_census(CensusConfig(family="trees", n_min=2, n_max=8))
@@ -642,10 +705,13 @@ class TestRunCensus:
         assert one.to_json() == four.to_json()
 
     def test_connected_worker_counts_agree(self):
-        cfg = dict(family="connected_graphs", n_min=2, n_max=7, checks=CHECK_NAMES)
-        one = run_census(CensusConfig(**cfg, worker_count=1))
-        three = run_census(CensusConfig(**cfg, worker_count=3))
-        assert one.to_json() == three.to_json()
+        # through n=8, whose five thm2_probe counterexamples are found by
+        # whichever worker checks them and must be reported in one order
+        cfg = dict(family="connected_graphs", n_min=2, n_max=8, checks=CHECK_NAMES)
+        reports = [run_census(CensusConfig(**cfg, worker_count=workers)).to_json() for workers in (1, 2, 3)]
+        assert reports[1:] == reports[:1] * 2
+        digest = hashlib.sha256(reports[0].encode()).hexdigest()
+        assert digest == "a8a3315056f364b80d6f2d14c75c104f5b8e3904ea681102744d2e0d2fed5ee1"
 
     def test_rerun_byte_identical(self):
         cfg = CensusConfig(family="connected_graphs", n_min=2, n_max=5)
@@ -678,27 +744,19 @@ class TestRunCensus:
         with pytest.raises(InvariantViolation, match=r"^generated 10 classes for n=7, expected 11$"):
             run_census(CensusConfig(family="trees", n_min=5, n_max=8, worker_count=workers))
 
-    def test_pool_gets_one_imap_over_all_sizes(self, monkeypatch):
-        calls = []
-
-        class SerialPool:
-            def __init__(self, workers):
-                calls.append(("pool", workers))
-
-            def imap(self, func, iterable, chunksize):
-                calls.append(("imap", chunksize))
-                return map(func, iterable)
-
-            def close(self):
-                calls.append("close")
-
-            def join(self):
-                calls.append("join")
-
-        monkeypatch.setattr(census, "Pool", SerialPool)
-        pooled = run_census(CensusConfig(family="trees", n_min=2, n_max=8, worker_count=3))
-        assert calls == [("pool", 3), ("imap", census.CHUNK_SIZE), "close", "join"]
-        assert pooled.to_json() == run_census(CensusConfig(family="trees", n_min=2, n_max=8)).to_json()
+    def test_pool_gets_one_batch_stream_over_all_sizes(self, recording_pool):
+        # the trees of every size go to the pool as one stream of listed
+        # batches of CHUNK_SIZE graphs, the last one shorter
+        pooled = run_census(CensusConfig(family="trees", n_min=2, n_max=10, worker_count=3))
+        pool, = recording_pool
+        submitted = [event[1] for event in pool.events if event[0] == "submit"]
+        size = census.CHUNK_SIZE
+        assert [len(batch) for batch in submitted] == [size, size, size, 200 - 3 * size]
+        assert [g.n for batch in submitted for g in batch] == [n for n in range(2, 11) for _ in generate_trees(n)]
+        assert len({g.n for g in submitted[0]}) > 1
+        assert {event[0] for event in pool.events} == {"pool", "submit", "get", "close", "join"}
+        assert pool.events[:1] + pool.events[-2:] == [("pool", 3), ("close",), ("join",)]
+        assert pooled.to_json() == run_census(CensusConfig(family="trees", n_min=2, n_max=10)).to_json()
 
     def test_pool_starts_with_sigint_ignored(self, monkeypatch):
         # forked workers inherit the ignored SIGINT, and the parent gets its
@@ -706,20 +764,11 @@ class TestRunCensus:
         # pool starts as it is
         seen = []
 
-        class SerialPool:
-            def __init__(self, workers):
-                seen.append(signal.getsignal(signal.SIGINT))
+        def start(workers):
+            seen.append(signal.getsignal(signal.SIGINT))
+            return RecordingPool(workers)
 
-            def imap(self, func, iterable, chunksize):
-                return map(func, iterable)
-
-            def close(self):
-                pass
-
-            def join(self):
-                pass
-
-        monkeypatch.setattr(census, "Pool", SerialPool)
+        monkeypatch.setattr(census, "Pool", start)
         handler = signal.getsignal(signal.SIGINT)
         config = CensusConfig(family="trees", n_min=2, n_max=6, worker_count=2)
         examined = [run_census(config).totals["graphs_examined"]]
@@ -731,59 +780,64 @@ class TestRunCensus:
         assert signal.getsignal(signal.SIGINT) is handler
         assert examined == [13, 13]
 
-    def test_failing_pool_is_terminated_not_drained(self, monkeypatch):
-        # a pool whose results fail after the first: the census re-raises and
-        # stops the workers instead of letting them finish the queued tasks
-        calls = []
-
-        class FailingPool:
-            def __init__(self, workers):
-                calls.append(("pool", workers))
-
-            def imap(self, func, iterable, chunksize):
-                yield func(next(iter(iterable)))
-                raise RuntimeError("worker failed")
-
-            def close(self):
-                calls.append("close")
-
-            def terminate(self):
-                calls.append("terminate")
-
-            def join(self):
-                calls.append("join")
-
-        monkeypatch.setattr(census, "Pool", FailingPool)
+    def test_failing_pool_is_terminated_not_drained(self, monkeypatch, recording_pool):
+        # a pool whose first check result fails: the census re-raises and
+        # stops the workers, with the later batches still in flight, instead
+        # of letting them finish the queued tasks
+        monkeypatch.setattr(RecordingPool, "failing", True)
         with pytest.raises(RuntimeError, match="^worker failed$"):
-            run_census(CensusConfig(family="trees", n_min=2, n_max=8, worker_count=3))
-        assert calls == [("pool", 3), "terminate", "join"]
+            run_census(CensusConfig(family="trees", n_min=2, n_max=11, worker_count=3))
+        events = [event[0] for event in recording_pool[0].events]
+        assert events == ["pool", *["submit"] * 2 * 3, "get", "terminate", "join"]
 
-    def test_connected_pool_codes_each_level_then_checks(self, monkeypatch):
-        # every level below n_max is coded in the pool, levels below n_min
-        # too, before the one imap of the checks
-        calls = []
-
-        class SerialPool:
-            def __init__(self, workers):
-                calls.append(("pool", workers))
-
-            def imap(self, func, iterable, chunksize):
-                calls.append(("imap", getattr(func, "func", func), chunksize))
-                return map(func, iterable)
-
-            def close(self):
-                calls.append("close")
-
-            def join(self):
-                calls.append("join")
-
-        monkeypatch.setattr(census, "Pool", SerialPool)
+    def test_connected_pool_codes_each_level_and_streams_checks(self, recording_pool):
+        # every level is coded in the pool, levels below n_min too, through
+        # one imap over its parents, four tasks per worker; the classes of
+        # levels n_min..n_max go to the checks in listed batches
         cfg = dict(family="connected_graphs", n_min=4, n_max=7, checks=CHECK_NAMES)
         pooled = run_census(CensusConfig(**cfg, worker_count=3))
-        levels = [("imap", census._child_codes, census.CHUNK_SIZE)] * len(range(2, 8))
-        checks = ("imap", census._census_task, census.CHUNK_SIZE)
-        assert calls == [("pool", 3), *levels, checks, "close", "join"]
+        pool, = recording_pool
+        coding = [event[1:] for event in pool.events if event[0] == "imap"]
+        parents = [connected_class_count(m) if m > 1 else 1 for m in range(1, 7)]
+        assert coding == [(census._child_codes, max(1, count // 12), count) for count in parents]
+        submitted = [event[1] for event in pool.events if event[0] == "submit"]
+        assert [g.n for batch in submitted for g in batch] == [n for n in range(4, 8)
+                                                               for _ in range(connected_class_count(n))]
+        assert pool.events[-2:] == [("close",), ("join",)]
         assert pooled.to_json() == run_census(CensusConfig(**cfg)).to_json()
+
+    def test_checks_start_before_the_last_level_is_coded(self, recording_pool):
+        # the pipeline: check batches go out while the last level's parents
+        # are still being coded, and no more than two per worker are ever in
+        # flight
+        cfg = dict(family="connected_graphs", n_min=7, n_max=7, checks=CHECK_NAMES)
+        pooled = run_census(CensusConfig(**cfg, worker_count=3))
+        events = recording_pool[0].events
+        first_submit = next(i for i, event in enumerate(events) if event[0] == "submit")
+        last_coded = max(i for i, event in enumerate(events) if event == ("coded", 7))
+        assert first_submit < last_coded
+        in_flight = peak = 0
+        for event in events:
+            in_flight += (event[0] == "submit") - (event[0] == "get")
+            peak = max(peak, in_flight)
+        assert in_flight == 0
+        assert peak == 2 * 3
+        assert pooled.to_json() == run_census(CensusConfig(**cfg)).to_json()
+
+    @pytest.mark.long
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+    def test_connected_nine_parent_memory(self):
+        # the parent of a pooled n=9 census keeps the last level's codes,
+        # not its graphs; measured in a fresh process, whose own peak it is
+        script = ("import resource\n"
+                  "from domicert.census import CHECK_NAMES, CONNECTED, CensusConfig, run_census\n"
+                  "run_census(CensusConfig(family=CONNECTED, n_min=9, n_max=9, checks=CHECK_NAMES, worker_count=2))\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(census.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert int(done.stdout) <= 120 * 1024
 
     def test_probe_finds_pendant_cycle_class_at_eight(self, probe_at_8):
         # the census is shared with the acceptance suite through conftest

@@ -491,16 +491,15 @@ class TestCensusCommand:
         assert (code, err) == (2, "error: cannot serialise\n")
         assert out_path.read_bytes() == b"old\n"
 
-    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
-    def test_ctrl_c_stops_census_and_workers(self):
+    @staticmethod
+    def _interrupt(seconds: float, *argv):
         # SIGINT goes to the whole process group, as a terminal's Ctrl-C does.
         # The child starts with SIGINT at its default handler, as from a
         # terminal; a background job of a shell would hand it down ignored
-        proc = python("-m", "domicert.cli", "census", "--family", "trees", "--n-min", "2",
-                      "--n-max", "16", "--workers", "2", start_new_session=True,
+        proc = python("-m", "domicert.cli", "census", *argv, start_new_session=True,
                       preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
-            time.sleep(1)
+            time.sleep(seconds)
             assert proc.poll() is None, "the census ended before it was interrupted"
             os.killpg(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=60)
@@ -519,6 +518,16 @@ class TestCensusCommand:
             except ProcessLookupError:
                 pass
             proc.communicate(timeout=10)
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_ctrl_c_stops_census_and_workers(self):
+        self._interrupt(1, "--family", "trees", "--n-min", "2", "--n-max", "16", "--workers", "2")
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_ctrl_c_stops_connected_census_mid_level(self):
+        # by then the pool codes the n=9 level with check batches of the
+        # classes found so far queued behind it
+        self._interrupt(4, "--family", "graphs", "--n-min", "2", "--n-max", "9", "--workers", "2")
 
     def test_workers_above_bound_exit_two(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
