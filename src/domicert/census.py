@@ -7,8 +7,10 @@ byte-identical JSON regardless of worker count. Graphs stream to the
 checks: trees from their generator, connected graphs from a level pass
 that builds each level from the one below, coding every parent's
 children in the census pool, and hands on each class once its parent is
-merged. Once the checks are drained, the graphs counted per vertex count
-are cross-checked against independently known class counts.
+merged. Pool workers each have their own pipe, driven from the main
+thread, and one that dies ends the census with a CapabilityError. Once
+the checks are drained, the graphs counted per vertex count are
+cross-checked against independently known class counts.
 
 Check names. ``solve_families`` builds the paired family from the ev
 search, as the spans of the minimum ev-sets that are matchings, so three
@@ -73,7 +75,7 @@ CONNECTED_GENERATION_BOUND = max(_CONNECTED_CLASS_COUNTS)
 # configuration is valid or not the same way on every machine
 WORKER_BOUND = 32
 # graphs per check batch and most parents per coding task: batching spreads
-# the pickling and messaging of a pool task over several small graphs
+# the pickling and the pipe round trip of a pool task over several small graphs
 CHUNK_SIZE = 64
 
 REPORT_VERSION = "report-v1"
@@ -514,8 +516,8 @@ def run_census(config: CensusConfig) -> CensusReport:
             # one batch: each graph is checked before the next is generated
             batches, window, submit = iter([graphs]), 1, lambda batch: partial(task, batch)
         else:
-            # lists, as the pool feeds one submitted iterable at a time: one
-            # waiting on the level pass would starve its coding tasks
+            # listed batches, as a task's arguments are pickled when it is
+            # sent; the pool sends its tasks in the order they are submitted
             batches, window = iter(lambda: list(islice(graphs, CHUNK_SIZE)), []), 2 * workers
             submit = lambda batch: pool.apply_async(task, (batch,)).get
         pending = deque()  # at most ``window`` batches in flight
@@ -532,8 +534,8 @@ def run_census(config: CensusConfig) -> CensusReport:
                 for n, example in examples:
                     per_n[n]["counterexamples"].append(example)
     except BaseException:
-        # stop the workers at once; a closed pool would still feed them
-        # every task left in its queue
+        # stop the workers at once; a closed pool would still run every
+        # task left in its queue
         if pool is not None:
             pool.terminate()
             pool.join()
@@ -550,24 +552,26 @@ def run_census(config: CensusConfig) -> CensusReport:
 
 
 def Pool(processes: int):
-    # multiprocessing.Pool, imported on the first pooled census: only a pool
-    # needs multiprocessing, and importing it costs every process about 5 ms
-    import multiprocessing
+    # the census workers, each on its own pipe driven from the calling
+    # thread (``_workers``); imported on the first pooled census, as only a
+    # pool needs multiprocessing, and importing it costs every process about 5 ms
+    from ._workers import Workers
 
-    return multiprocessing.Pool(processes)
+    return Workers(processes)
 
 
 def _start_pool(worker_count: int):
     # forked workers keep SIGINT ignored: a Ctrl-C reaches the whole process
     # group, and only the parent acts on it, by terminating the pool.
     # signal.signal works only in the main thread. Pool is looked up here,
-    # at call time; on a platform without a working sem_open it raises
-    # ImportError
+    # at call time; it raises ImportError on a platform without
+    # multiprocessing, OSError when a fork fails, as for want of memory or
+    # process ids, and stops any workers it started before it raises
     main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGINT, signal.SIG_IGN) if main else None
     try:
         return Pool(worker_count)
-    except ImportError as exc:
+    except (ImportError, OSError) as exc:
         raise CapabilityError(f"cannot start a pool of {worker_count} census workers: {exc}") from None
     finally:
         if main:

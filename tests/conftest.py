@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from domicert import Graph, MinSetFamily
@@ -96,6 +98,17 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fails a test that leaves a multiprocessing child running, and stops it."""
+    yield
+    left = multiprocessing.active_children()
+    for process in left:
+        process.kill()
+        process.join(timeout=10)
+    assert left == [], "the test left a worker process running"
 
 
 @pytest.fixture

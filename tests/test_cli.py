@@ -5,8 +5,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -551,6 +553,64 @@ class TestCensusCommand:
         assert (code, out) == (3, "")
         assert err == ("capability error: cannot start a pool of 2 census workers: "
                        "This platform lacks a functioning sem_open implementation\n")
+
+    def test_worker_that_cannot_start_exits_three(self, capsys, monkeypatch):
+        # as when a fork fails for want of memory or process ids: the census
+        # stops the worker it started and exits 3, not 2 as for bad input
+        start = multiprocessing.Process.start
+        started = []
+
+        def second_fails(process):
+            if started:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            start(process)
+            started.append(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", second_fails)
+        code, out, err = run_cli(capsys, "census", "--family", "trees", "--n-min", "2",
+                                 "--n-max", "4", "--workers", "3")
+        assert (code, out) == (3, "")
+        assert err == ("capability error: cannot start a pool of 3 census workers: "
+                       "[Errno 11] Resource temporarily unavailable\n")
+        assert len(started) == 1
+        assert started[0].exitcode is not None
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_dead_worker_exits_three(self):
+        # a worker that exits mid-batch, as one the kernel kills for memory
+        # does: the census stops the other worker and exits 3 at once,
+        # instead of waiting forever for the lost batch
+        script = ("import multiprocessing, os, sys\n"
+                  "from domicert import census, cli\n"
+                  "batch = census._census_batch\n"
+                  "def dying_batch(graphs, checks, budget):\n"
+                  "    if any(g.n == 11 for g in graphs):\n"
+                  "        os._exit(1)\n"
+                  "    return batch(graphs, checks, budget)\n"
+                  "census._census_batch = dying_batch\n"
+                  "code = cli.main(['census', '--family', 'trees', '--n-min', '2', '--n-max', '12', '--workers', '2'])\n"
+                  "print(multiprocessing.active_children())\n"
+                  "sys.exit(code)\n")
+        proc = python("-c", script, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=30)
+            assert (proc.returncode, out) == (3, "[]\n")
+            assert re.fullmatch(r"capability error: census worker [12] of 2 \(pid \d+\) exited with code 1\n", err)
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a census worker outlived the run"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate(timeout=10)
 
 
 class TestParserReuse:
