@@ -285,7 +285,7 @@ def _cmd_census(args, budget: int) -> int:
         worker_count=args.workers,
         budget=budget,
     )
-    if args.out:
+    if args.out is not None:
         _check_report_path(args.out)
     report = run_census(config)
     print(f"family={args.family} n={config.n_min}..{config.n_max} checks={','.join(config.checks)}")
@@ -312,9 +312,9 @@ def _cmd_census(args, budget: int) -> int:
 
 def _check_report_path(path: str) -> None:
     # fail before the census rather than after it, and leave an existing
-    # report as it is until the new one is written
+    # report as it is until the new one is written; an empty path names no file
     directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
+    if not path or not os.path.isdir(directory):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

@@ -127,11 +127,6 @@ class MinSetFamily(_Record):
         labels = self.edges if self.kind == "ev" else range(self.graph.n)
         return tuple([tuple(compress(labels, row)) for row in self.rows])
 
-    def contains(self, members) -> bool:
-        """Membership test that normalizes the candidate's ordering first."""
-        probe = _normalized(members) if self.kind == "ev" else tuple(sorted(members))
-        return probe in self.sets
-
 
 class UniquenessVerdict(_Record):
     """Outcome of a uniqueness query.
@@ -146,13 +141,6 @@ class UniquenessVerdict(_Record):
 
     def __init__(self, unique: bool, witness_count: int, common_span: frozenset[int] | None, family: MinSetFamily):
         self.__dict__.update(unique=unique, witness_count=witness_count, common_span=common_span, family=family)
-
-
-def ev_dominates(graph: Graph, edge: Edge, vertex: int) -> bool:
-    """True when the edge is incident to the vertex or to one of its neighbors."""
-    u, v = edge
-    _require_edge(graph, edge)
-    return bool(_vertex_mask(graph, (vertex,)) & (graph.closed_nbr_bits(u) | graph.closed_nbr_bits(v)))
 
 
 def is_ev_dominating_set(graph: Graph, edges) -> bool:
@@ -207,15 +195,6 @@ def solve_families(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[MinSetFa
     if not spans:
         raise InvariantViolation(f"no minimum ev-set is a matching on the graph with edges {graph.edges}")
     return ev, MinSetFamily(kind="paired", gamma=gamma, masks=spans, spans=spans, graph=graph, edges=ev.edges)
-
-
-def spanned_vertices(edges) -> frozenset[int]:
-    """Union of the endpoints of the given edges."""
-    out: set[int] = set()
-    for u, v in edges:
-        out.add(u)
-        out.add(v)
-    return frozenset(out)
 
 
 def uniqueness(graph: Graph, kind: str, budget: int = DEFAULT_BUDGET) -> UniquenessVerdict:

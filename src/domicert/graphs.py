@@ -16,12 +16,6 @@ from functools import cache
 
 from .errors import CapabilityError, GraphParseError
 
-# Only has_perfect_matching is capped. Its search memoizes the vertex
-# remainders that have no perfect matching, which can grow exponentially;
-# perfect_matchings_within and is_paired_dominating_set run that same
-# search without the cap.
-MATCHING_VERTEX_BOUND = 24
-
 # Edge-list headers above this vertex count are refused before anything is
 # allocated for them; no solver in the package finishes anywhere near it.
 EDGE_LIST_VERTEX_BOUND = 4096
@@ -169,13 +163,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def emit_edge_list(graph: Graph) -> str:
-    """Inverse of parse_edge_list, edges in sorted order."""
-    lines = [f"{graph.n} {graph.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
-
-
 # graph6, short form only (B. D. McKay, users.cecs.anu.edu.au/~bdm/data/formats.txt):
 # byte 0 is chr(n + 63) for n <= 62, then the payload bits of ``_g6_layout(n)``,
 # six per printable character, again offset by 63.
@@ -243,18 +230,6 @@ def emit_graph6(graph: Graph) -> str:
     return chr(n + 63) + "".join([chr((value >> 6 * k & 63) + 63) for k in reversed(range(characters))])
 
 
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced on the given vertices.
-
-    Returns the new graph together with the index mapping: entry i of the
-    mapping is the original id of new vertex i.
-    """
-    keep = tuple(_iter_bits(_vertex_mask(graph, vertices)))
-    back = {old: new for new, old in enumerate(keep)}
-    edges = [(back[u], back[v]) for u, v in graph.edges if u in back and v in back]
-    return Graph(len(keep), edges), keep
-
-
 def is_connected(graph: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (n == 0 counts as connected)."""
     if graph.n == 0:
@@ -287,13 +262,6 @@ def _tree_walk(graph: Graph, root: int, within: int = -1) -> tuple[list[int], li
             parent[u] = v
             order.append(u)
     return order, parent
-
-
-def has_perfect_matching(graph: Graph) -> bool:
-    """Whether some edge subset covers every vertex exactly once."""
-    if graph.n > MATCHING_VERTEX_BOUND:
-        raise CapabilityError(f"perfect-matching query supports n <= {MATCHING_VERTEX_BOUND}, got {graph.n}")
-    return next(perfect_matchings_within(graph, range(graph.n)), None) is not None
 
 
 def perfect_matchings_within(graph: Graph, vertices: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:

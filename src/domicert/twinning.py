@@ -59,23 +59,6 @@ def check_claim(graph: Graph, edges) -> bool:
     return _claim_holds(*_loose(edges))
 
 
-def find_private_vertex(graph: Graph, edges, edge: Edge, anchor: int) -> int:
-    """Smallest neighbor of ``anchor`` that only ``edge`` ev-dominates.
-
-    Raises NotMinimumWitness when no neighbor qualifies, which certifies
-    that the inputs are not a minimum set in the assumed configuration.
-    """
-    members = _normalized(edges)
-    edge = normalize_edge(*edge)
-    if edge not in members:
-        raise ValueError(f"{edge} is not a member of the set")
-    if anchor not in edge:
-        raise ValueError(f"vertex {anchor} is not an endpoint of {edge}")
-    edge_list, incident, mask = _on_graph(graph, members)
-    u, v = edge
-    return _private_vertex(graph, edge_list, mask, incident[u] & incident[v], anchor)
-
-
 def twinning(graph: Graph, edges, e1: Edge, e2: Edge):
     """Rewrite a sharing pair both ways.
 

@@ -6,6 +6,7 @@ import pytest
 
 from domicert import Graph, MinSetFamily
 from domicert.census import CONNECTED, CensusConfig, run_census
+from domicert.twinning import _on_graph, _private_vertex
 
 from .oracles import sharing_pairs_naive
 
@@ -45,6 +46,15 @@ def vertex_mask(vertices) -> int:
 def span_mask(edges) -> int:
     """The vertices the edges span, as a bitmask."""
     return vertex_mask(v for e in edges for v in e)
+
+
+def private_vertex(graph: Graph, members, edge, anchor: int) -> int:
+    """The private-vertex search that twinning runs, on members given as
+    edges of the graph: the smallest neighbor of ``anchor`` that only
+    ``edge`` ev-dominates, or NotMinimumWitness."""
+    edges, incident, mask = _on_graph(graph, members)
+    u, v = edge
+    return _private_vertex(graph, edges, mask, incident[u] & incident[v], anchor)
 
 
 def family_of(graph: Graph, kind: str, gamma: int, sets) -> MinSetFamily:

@@ -8,10 +8,11 @@ enumerated from labeled sequences and deduplicated, components found by
 union-find over the edge list, colors refined by sorting neighbor-color
 lists, canonical codes minimized over every color-respecting ordering,
 the level pass's children filtered mask by mask, each rival of the
-newcomer tested for a cut vertex by the connectivity of the child
-without it.
+newcomer tested for a cut vertex by the union-find components of the
+child without it.
 The lemma1 referee replays detangle from the definitions, then runs
-the package's ``detangle`` and requires the same outcome. Former package routines are
+the package's ``detangle`` and requires the same outcome; the general
+form's referee twins every sharing pair at every private vertex. Former package routines are
 the exceptions: ``min_edge_covers_sorted``, the search kernel that
 branches over one global edge order, kept as the referee for the hits
 and spans of the package's vertex-branching kernel;
@@ -51,9 +52,13 @@ from domicert import (
     detangle,
     is_tree,
     perfect_matchings_within,
-    spanned_vertices,
 )
 from domicert.graphs import _tree_walk
+
+
+def spanned_vertices(edges) -> frozenset[int]:
+    """Union of the endpoints of the given edges."""
+    return frozenset(v for edge in edges for v in edge)
 
 
 def ev_dominates_naive(graph: Graph, edge, vertex: int) -> bool:
@@ -144,7 +149,7 @@ def detangles_cleanly_referee(graph: Graph, ev, members) -> bool:
         after = sharing_pairs_naive(left)
         if after != sharing_pairs_naive(right) or after >= before:
             return False
-        if left == right or not (ev.contains(left) and ev.contains(right)):
+        if left == right or left not in ev.sets or right not in ev.sets:
             return False
         current = left
     try:
@@ -159,9 +164,50 @@ def detangles_cleanly_referee(graph: Graph, ev, members) -> bool:
         and result.left != result.right
         and sharing_pairs_naive(result.left) == 0 == sharing_pairs_naive(result.right)
         and {v for e in result.left for v in e} != {v for e in result.right for v in e}
-        and ev.contains(result.left)
-        and ev.contains(result.right)
+        and result.left in ev.sets
+        and result.right in ev.sets
     )
+
+
+def twinning_general_referee(graph: Graph, ev: MinSetFamily) -> tuple[int, int, int] | None:
+    """The twinning lemma in its general form, over every member of ``ev``.
+
+    For every sharing pair of every member, each outer end has a private
+    vertex, and swapping that edge of the pair for the pendant edge at
+    any private vertex gives a member of the family with strictly fewer
+    sharing pairs; the two twins at the smallest private vertices are
+    distinct and have equally many sharing pairs. Returns (tangled
+    members, sharing pairs, swaps) when every clause holds, else None.
+    """
+    minimum = set(ev.sets)
+    tangled = pairs = swaps = 0
+    for members in ev.sets:
+        before = sharing_pairs_naive(members)
+        if before == 0:
+            continue
+        tangled += 1
+        for e1, e2 in combinations(members, 2):
+            shared = set(e1) & set(e2)
+            if not shared:
+                continue
+            pairs += 1
+            (pivot,) = shared
+            for edge in (e1, e2):
+                outer = edge[0] if edge[1] == pivot else edge[1]
+                others = [e for e in members if e != edge]
+                private = [x for x in graph.neighbors(outer)
+                           if not any(ev_dominates_naive(graph, e, x) for e in others)]
+                if not private:
+                    return None
+                for x in private:
+                    swaps += 1
+                    swap = tuple(sorted([*others, tuple(sorted((x, outer)))]))
+                    if swap not in minimum or sharing_pairs_naive(swap) >= before:
+                        return None
+            left, right = twinning_naive(graph, members, e1, e2)
+            if left == right or sharing_pairs_naive(left) != sharing_pairs_naive(right):
+                return None
+    return tangled, pairs, swaps
 
 
 def is_dominating_naive(graph: Graph, vertices) -> bool:
@@ -527,8 +573,6 @@ def child_codes_naive(g: Graph) -> list[tuple[bytes, int]]:
     vertices in mask is dropped when the mask holds a twin y but not its
     smaller twin x, or when some vertex x has a larger degree than the
     newcomer and the child stays connected without x."""
-    from domicert import induced_subgraph, is_connected
-
     n = g.n
     twins = [(x, y) for y in range(n) for x in range(y) if set(g.adj[x]) - {y} == set(g.adj[y]) - {x}]
     found: dict[bytes, int] = {}
@@ -537,7 +581,7 @@ def child_codes_naive(g: Graph) -> list[tuple[bytes, int]]:
             continue
         child = Graph(n + 1, [*g.edges, *((v, n) for v in range(n) if mask >> v & 1)])
         if any(child.degree(x) > child.degree(n)
-               and is_connected(induced_subgraph(child, [v for v in range(n + 1) if v != x])[0])
+               and len(components_union_find(child.edges, [v for v in range(n + 1) if v != x])) == 1
                for x in range(n)):
             continue
         found.setdefault(canonical_code(child), mask)

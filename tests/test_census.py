@@ -35,7 +35,6 @@ from domicert import (
     solve_ev,
     solve_families,
     solve_pr,
-    spanned_vertices,
     tree_class_count,
     verify_graph,
 )
@@ -56,6 +55,7 @@ from .oracles import (
     cor_general_tuples,
     lemma1_tuples,
     sharing_pairs_naive,
+    spanned_vertices,
     thm1_tuples,
     tree_classes_prufer,
     tree_classes_prufer_ordered,

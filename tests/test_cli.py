@@ -451,13 +451,14 @@ class TestCensusCommand:
                              "--n-min", "2", "--n-max", "10")
         assert code == 2
 
-    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    @pytest.mark.parametrize("target", ["missing/report.json", ".", None])
     def test_unwritable_report_fails_before_census(self, capsys, monkeypatch, tmp_path, target):
         def no_census(config):
             raise AssertionError("the census ran")
 
         monkeypatch.setattr(cli, "run_census", no_census)
-        out_path = str(tmp_path / target)
+        # None stands for the empty path, which names no file
+        out_path = "" if target is None else str(tmp_path / target)
         code, out, err = run_cli(capsys, "census", "--family", "trees",
                                  "--n-min", "2", "--n-max", "3", "--out", out_path)
         assert code == 2

@@ -12,12 +12,9 @@ from domicert import (
     Graph,
     GraphParseError,
     canonical_code,
-    emit_edge_list,
     emit_graph6,
     generate_connected_graphs,
     generate_trees,
-    has_perfect_matching,
-    induced_subgraph,
     is_connected,
     is_tree,
     parse_edge_list,
@@ -39,6 +36,17 @@ from .oracles import (
 
 def _relabel(graph: Graph, perm) -> Graph:
     return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
+
+
+def _edge_list(graph: Graph) -> str:
+    # the edge-list format parse_edge_list reads: an "n m" header, then
+    # one "u v" line per edge
+    lines = [f"{graph.n} {graph.edge_count}", *(f"{u} {v}" for u, v in graph.edges)]
+    return "\n".join(lines) + "\n"
+
+
+def _matchable(graph: Graph, vertices) -> bool:
+    return next(perfect_matchings_within(graph, vertices), None) is not None
 
 
 class TestGraphConstruction:
@@ -146,7 +154,7 @@ class TestEdgeListFormat:
 
     def test_round_trip(self):
         g = pendant_cycle()
-        assert parse_edge_list(emit_edge_list(g)) == g
+        assert parse_edge_list(_edge_list(g)) == g
 
     def test_vertex_bound_checked_before_allocating(self):
         # refused at the header, before any per-vertex storage exists
@@ -264,7 +272,7 @@ class TestRoundTrips:
             density = draw(st.floats(min_value=0, max_value=1))
             rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
             g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
-            header, *pairs = emit_edge_list(g).splitlines()
+            header, *pairs = _edge_list(g).splitlines()
             pairs = [" ".join(line.split()[::-1]) if rng.random() < 0.5 else line for line in pairs]
             rng.shuffle(pairs)
             lines = [header, *pairs]
@@ -280,36 +288,6 @@ class TestRoundTrips:
             assert parse_edge_list(text) == g
 
         check()
-
-
-class TestInducedSubgraph:
-    def test_cycle_out_of_pendant_cycle(self):
-        sub, mapping = induced_subgraph(pendant_cycle(), [0, 1, 2, 3])
-        assert mapping == (0, 1, 2, 3)
-        assert sub.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-
-    def test_mapping_translates_back(self):
-        g = spider_222()
-        sub, mapping = induced_subgraph(g, [6, 0, 5])
-        assert mapping == (0, 5, 6)
-        assert {(mapping[u], mapping[v]) for u, v in sub.edges} == {(0, 5), (5, 6)}
-
-    def test_no_edges_kept(self):
-        sub, _ = induced_subgraph(path_graph(4), [0, 3])
-        assert sub.edges == ()
-
-    def test_empty_selection(self):
-        sub, mapping = induced_subgraph(path_graph(4), [])
-        assert (sub.n, mapping) == (0, ())
-
-    def test_vertices_validated_in_input_order(self):
-        g = path_graph(4)
-        with pytest.raises(ValueError, match="vertex 4 out of range"):
-            induced_subgraph(g, [0, g.n])
-        with pytest.raises(ValueError, match="vertex 6 out of range"):
-            induced_subgraph(g, [6, 5])
-        with pytest.raises(TypeError):
-            induced_subgraph(g, [1.5])
 
 
 class TestConnectivity:
@@ -344,22 +322,25 @@ class TestConnectivity:
 
 
 class TestPerfectMatching:
+    # perfect_matchings_within yields a matching exactly when one exists
     def test_known_cases(self):
-        assert has_perfect_matching(cycle_graph(4))
-        assert not has_perfect_matching(path_graph(3))
-        assert not has_perfect_matching(star_graph(3))
+        assert _matchable(cycle_graph(4), range(4))
+        assert not _matchable(path_graph(3), range(3))
+        assert not _matchable(star_graph(3), range(4))
+        assert _matchable(pendant_cycle(), [0, 1, 4, 5])
+        assert not _matchable(pendant_cycle(), [0, 2, 4, 5])
 
     def test_odd_always_false(self):
-        assert not has_perfect_matching(path_graph(5))
-
-    def test_bound(self):
-        with pytest.raises(CapabilityError):
-            has_perfect_matching(Graph(25, ()))
+        assert not _matchable(path_graph(5), range(5))
+        assert not _matchable(cycle_graph(4), [0, 1, 2])
 
     def test_agrees_with_naive_on_census(self):
+        # on every vertex subset, as is_paired_dominating_set asks it
         for n in range(2, 7):
             for g in generate_connected_graphs(n):
-                assert has_perfect_matching(g) == has_perfect_matching_naive(g, range(n))
+                for mask in range(1 << n):
+                    vertices = [v for v in range(n) if mask >> v & 1]
+                    assert _matchable(g, vertices) == has_perfect_matching_naive(g, vertices)
 
     def test_agrees_with_naive_on_random(self):
         rng = random.Random(2024)
@@ -367,13 +348,13 @@ class TestPerfectMatching:
             n = rng.randint(2, 10)
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
             g = Graph(n, edges)
-            assert has_perfect_matching(g) == has_perfect_matching_naive(g, range(n))
+            assert _matchable(g, range(n)) == has_perfect_matching_naive(g, range(n))
 
     def test_enumeration_matches_predicate(self):
         for n in range(2, 7):
             for g in generate_connected_graphs(n):
                 listed = list(perfect_matchings_within(g, range(n)))
-                assert bool(listed) == has_perfect_matching(g)
+                assert bool(listed) == has_perfect_matching_naive(g, range(n))
                 assert listed == sorted(listed)
                 for matching in listed:
                     touched = [v for e in matching for v in e]

@@ -1,6 +1,7 @@
 """Import hygiene: every package module uses each name it imports, every
-name the package exports resolves, and importing the package loads none
-of the standard modules that only some commands need."""
+name the package exports resolves and is named in README's Library
+section, and importing the package loads none of the standard modules
+that only some commands need."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 import domicert
 
 PACKAGE = Path(domicert.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -48,6 +50,13 @@ def test_unused_import_is_reported(tmp_path):
 def test_exported_names_resolve():
     assert len(set(domicert.__all__)) == len(domicert.__all__)
     assert [name for name in domicert.__all__ if not hasattr(domicert, name)] == []
+
+
+def test_exported_names_documented():
+    # the Library section runs from its heading to the next one, and
+    # names each export in backticks
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in domicert.__all__ if f"`{name}`" not in library] == []
 
 
 def test_import_defers_what_only_some_commands_use():

@@ -6,7 +6,8 @@ bitmask lemma1 check, the former check over sorted tuples and the
 replaying referee. The census twins each set once and the referee
 replays each whole chain, so on families with one set removed, where
 chains break, the three are compared per graph, and must agree on
-failing verdicts too.
+failing verdicts too. The twinning lemma's general form, every sharing
+pair with every private vertex, is swept over its own ranges.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from domicert import (
     MinSetFamily,
     NotMinimumWitness,
     check_claim,
-    find_private_vertex,
+    emit_graph6,
     generate_connected_graphs,
     generate_trees,
     sharing_pairs,
@@ -30,7 +31,7 @@ from domicert import (
 from domicert.census import _check_lemma1, _detangles_cleanly
 from domicert.domination import _incidence
 
-from .conftest import edge_mask, family_of, minimum_of
+from .conftest import edge_mask, family_of, minimum_of, private_vertex
 from .oracles import (
     claim_holds_naive,
     detangles_cleanly_referee,
@@ -38,6 +39,7 @@ from .oracles import (
     lemma1_tuples,
     private_vertex_naive,
     sharing_pairs_naive,
+    twinning_general_referee,
 )
 
 
@@ -63,9 +65,9 @@ def _assert_private_vertices_agree(graph: Graph, members) -> None:
             expected = private_vertex_naive(graph, members, edge, anchor)
             if expected is None:
                 with pytest.raises(NotMinimumWitness):
-                    find_private_vertex(graph, members, edge, anchor)
+                    private_vertex(graph, members, edge, anchor)
             else:
-                assert find_private_vertex(graph, members, edge, anchor) == expected
+                assert private_vertex(graph, members, edge, anchor) == expected
 
 
 class TestLemma1Check:
@@ -92,6 +94,36 @@ class TestLemma1Check:
                 assert verdict is all(detangles_cleanly_referee(g, family, m) for m in tangled)
                 verdicts.append(verdict)
         assert (len(verdicts), verdicts.count(False)) == (1286, 536)
+
+
+# (tangled members, sharing pairs, swaps) that the general form checks
+GENERAL_FORM = [(generate_trees, 12, (2654, 3491, 9465)), (generate_connected_graphs, 7, (770, 772, 1881))]
+GENERAL_FORM_LONG = [(generate_trees, 16, (263881, 356570, 978077)),
+                     (generate_connected_graphs, 9, (609398, 609895, 1768930))]
+
+
+class TestTwinningGeneralForm:
+    # every sharing pair of every minimum ev-set is twinned at every
+    # private vertex of each outer end, not only at the first pair and the
+    # smallest private vertices that lemma1 and detangle take
+    @staticmethod
+    def _sweep(generate, n_max) -> tuple[int, int, int]:
+        totals = (0, 0, 0)
+        for n in range(2, n_max + 1):
+            for g in generate(n):
+                counts = twinning_general_referee(g, solve_ev(g))
+                assert counts is not None, emit_graph6(g)
+                totals = tuple(a + b for a, b in zip(totals, counts))
+        return totals
+
+    @pytest.mark.parametrize("generate, n_max, counts", GENERAL_FORM, ids=["trees", "connected"])
+    def test_every_pair_at_every_private_vertex(self, generate, n_max, counts):
+        assert self._sweep(generate, n_max) == counts
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("generate, n_max, counts", GENERAL_FORM_LONG, ids=["trees", "connected"])
+    def test_every_pair_at_every_private_vertex_long(self, generate, n_max, counts):
+        assert self._sweep(generate, n_max) == counts
 
 
 class TestTwinningPrimitives:

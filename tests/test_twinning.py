@@ -6,18 +6,17 @@ from domicert import (
     NotMinimumWitness,
     check_claim,
     detangle,
-    find_private_vertex,
     generate_connected_graphs,
     generate_trees,
     is_ev_dominating_set,
     sharing_pairs,
     solve_ev,
     solve_pr,
-    spanned_vertices,
     twinning,
 )
 
-from .conftest import path_graph, pendant_cycle, spider_222, star_graph
+from .conftest import path_graph, pendant_cycle, private_vertex, spider_222, star_graph
+from .oracles import spanned_vertices
 
 SPIDER_M = ((0, 1), (0, 3), (5, 6))
 
@@ -97,31 +96,23 @@ class TestCheckClaim:
 class TestFindPrivateVertex:
     def test_spider_examples(self):
         g = spider_222()
-        assert find_private_vertex(g, SPIDER_M, (0, 1), 1) == 2
-        assert find_private_vertex(g, SPIDER_M, (0, 3), 3) == 4
-
-    def test_requires_membership(self):
-        with pytest.raises(ValueError):
-            find_private_vertex(spider_222(), SPIDER_M, (1, 2), 1)
+        assert private_vertex(g, SPIDER_M, (0, 1), 1) == 2
+        assert private_vertex(g, SPIDER_M, (0, 3), 3) == 4
 
     def test_requires_graph_edges(self):
         g = spider_222()
         # (0, 6) is no edge of the spider, as another member or as the edge itself
         with pytest.raises(ValueError, match="not an edge"):
-            find_private_vertex(g, [(0, 1), (0, 6)], (0, 1), 1)
+            private_vertex(g, [(0, 1), (0, 6)], (0, 1), 1)
         with pytest.raises(ValueError, match="not an edge"):
-            find_private_vertex(g, [(0, 6), (1, 2)], (0, 6), 6)
-
-    def test_requires_endpoint(self):
-        with pytest.raises(ValueError):
-            find_private_vertex(spider_222(), SPIDER_M, (0, 1), 3)
+            private_vertex(g, [(0, 6), (1, 2)], (0, 6), 6)
 
     def test_non_minimum_raises(self):
         g = path_graph(4)
         # {(0,1),(1,2)} is ev-dominating but not minimum: the only
         # neighbor of anchor 0 is vertex 1, which (1,2) also dominates
         with pytest.raises(NotMinimumWitness):
-            find_private_vertex(g, [(0, 1), (1, 2)], (0, 1), 0)
+            private_vertex(g, [(0, 1), (1, 2)], (0, 1), 0)
 
 
 class TestTwinning:
@@ -214,12 +205,12 @@ class TestDetangle:
                     for step in result.trace:
                         assert step.replaced_edge in current and step.inserted_edge not in current
                         current = current - {step.replaced_edge} | {step.inserted_edge}
-                        assert family.contains(tuple(sorted(current)))
+                        assert tuple(sorted(current)) in family.sets
                     assert tuple(sorted(current)) == result.left
                     assert is_ev_dominating_set(g, result.left)
                     assert is_ev_dominating_set(g, result.right)
-                    assert family.contains(result.left)
-                    assert family.contains(result.right)
+                    assert result.left in family.sets
+                    assert result.right in family.sets
 
     def test_deterministic(self):
         g = spider_222()
