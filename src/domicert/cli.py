@@ -5,8 +5,10 @@ counterexample was found, 2 usage or input error, 3 capability or
 budget exceeded, 130 interrupted, 141 standard output closed by its
 reader (as in ``domicert enumerate ... | head``). Standard output is
 deterministic for identical invocations; timing goes to stderr.
-``main`` may be called repeatedly in one process; its parser is built on
-the first call.
+``main`` may be called repeatedly in one process; its parsers are built
+on the first call. A command's arguments go straight to that command's
+parser; help, an unknown command and leftover arguments go through the
+top-level parser, which prints the same messages either way.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ BLOCK_LINES = 1024
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -71,8 +73,20 @@ def main(argv=None) -> int:
         return 130
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # what the top-level parser's subparsers action does with a command and
+    # its arguments, without the top-level parse; leftovers are re-parsed
+    # there so that it reports them
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="domicert",
         description="Minimum ev-domination and paired-domination families, "
@@ -120,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the bundled fixture with this edge-list file")
     p.set_defaults(run=_cmd_verify_figure1, format="edges")
 
-    return parser
+    return parser, sub.choices
 
 
 def _budget_from_env() -> int:

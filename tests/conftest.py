@@ -98,7 +98,8 @@ SPIDER_TEXT = """\
 
 def pytest_addoption(parser):
     parser.addoption("--run-long", action="store_true",
-                     help="also run the tests marked long: report pins of half-minute censuses")
+                     help="also run the tests marked long: the census report pins, the n=9 parent-memory "
+                          "check, the n=48 enumerate digests and the general-form twinning runs")
 
 
 def pytest_collection_modifyitems(config, items):

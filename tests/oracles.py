@@ -12,10 +12,13 @@ newcomer tested for a cut vertex by the union-find components of the
 child without it.
 The lemma1 referee replays detangle from the definitions, then runs
 the package's ``detangle`` and requires the same outcome; the general
-form's referee twins every sharing pair at every private vertex. Former package routines are
-the exceptions: ``min_edge_covers_sorted``, the search kernel that
-branches over one global edge order, kept as the referee for the hits
-and spans of the package's vertex-branching kernel;
+form's referee twins every sharing pair at every private vertex.
+``unique_tree_closure`` builds the trees with a unique minimum set from
+smaller ones by pendant leaves and P4s, with the uniqueness test passed
+in, for comparison with the exhaustive sets.
+Former package routines are the exceptions: ``min_edge_covers_sorted``,
+the search kernel that branches over one global edge order, kept as the
+referee for the hits and spans of the package's vertex-branching kernel;
 ``gamma_ev_tree_triples``, the tree DP over (has edge, needs any, needs
 parent edge) triples, kept as the referee for ``gamma_ev_tree_fast``;
 ``parse_graph6_naive``, the graph6 decoder that expands the payload bit
@@ -534,6 +537,29 @@ def tree_classes_prufer_ordered(n: int) -> set[bytes]:
         for seq in set(permutations(labels)):
             out.add(canonical_code(tree_from_prufer(seq, n)))
     return out
+
+
+def unique_tree_closure(base: dict[int, list[Graph]], n_max: int, unique) -> dict[int, set[bytes]]:
+    """Canonical codes of the trees on n vertices, n = max(base) + 1 to
+    n_max, built from the trees of ``base`` (by vertex count) as ROADMAP
+    item 14 describes: a leaf attached at any vertex of a built tree on
+    n - 1 vertices, or a P4 joined by an end or by an inner vertex to any
+    vertex of one on n - 4, keeping the distinct candidates that
+    ``unique`` accepts."""
+    built = {n: list(trees) for n, trees in base.items()}
+    codes = {}
+    for n in range(max(base) + 1, n_max + 1):
+        candidates = [Graph(n, tree.edges + ((v, n - 1),)) for tree in built.get(n - 1, ()) for v in range(n - 1)]
+        p4 = ((n - 4, n - 3), (n - 3, n - 2), (n - 2, n - 1))
+        candidates += [Graph(n, tree.edges + p4 + ((v, joint),)) for tree in built.get(n - 4, ())
+                       for v in range(n - 4) for joint in (n - 4, n - 3)]
+        built[n], codes[n] = [], set()
+        for tree in candidates:
+            code = canonical_code(tree)
+            if code not in codes[n] and unique(tree):
+                codes[n].add(code)
+                built[n].append(tree)
+    return codes
 
 
 def _falling_counts(total: int, slots: int, cap: int):

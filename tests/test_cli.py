@@ -619,12 +619,33 @@ class TestParserReuse:
         ("--help",), ("solve", "--kind", "ev", "{cycle}"), ("bogus",), ("enumerate", "--help"),
         ("unique", "--kind", "pr", "{cycle}"), ("solve",), ("census", "--help"),
         ("detangle", "{spider}"), ("twin", "{spider}", "--e1", "0,1"), ("--help",),
+        ("enumerate", "--kind", "ev", "{cycle}", "extra"), ("enumerate", "--ki", "ev", "{cycle}"),
+    ]
+    # the top-level parser's cases next to a command's own: help, unknown
+    # commands, missing and bad arguments, abbreviations, "--" and leftovers
+    DISPATCH = [
+        (), ("--help",), ("-h",), ("-h", "enumerate"), ("bogus",), ("Enumerate",), ("enum",),
+        ("--", "enumerate"), ("enumerate", "--help"), ("enumerate", "-h", "{cycle}"), ("span", "--he"),
+        ("enumerate", "--kind", "ev"), ("enumerate", "{cycle}"), ("enumerate", "--kind", "zz", "{cycle}"),
+        ("enumerate", "--ki", "ev", "{cycle}"), ("enumerate", "--kind=ev", "{cycle}"),
+        ("enumerate", "--kind", "ev", "--kind", "pr", "{cycle}"), ("enumerate", "--", "--kind"),
+        ("enumerate", "--kind", "ev", "--", "{cycle}"), ("enumerate", "--kind", "ev", "{cycle}", "extra"),
+        ("enumerate", "--kind", "ev", "{cycle}", "--bogus"), ("enumerate", "--kind", "ev", "{cycle}", "-x", "y"),
+        ("solve", "--kind", "pr", "{cycle}", "--format", "g6"), ("unique", "--kind", "pr", "{cycle}"),
+        ("span", "{cycle}"), ("twin", "{spider}", "--e1", "0,1", "--e2", "0,3"), ("twin", "{spider}"),
+        ("detangle", "{spider}"), ("detangle", "{spider}", "{cycle}"), ("verify-figure1",),
+        ("verify-figure1", "{cycle}", "extra"), ("census", "--help"), ("census", "--family", "trees"),
+        ("census", "--family", "trees", "--n-min", "2", "--n-max", "3", "--workers", "x"),
+        ("census", "--family", "trees", "--n-min", "2", "--n-max", "3", "extra"),
     ]
 
     @pytest.fixture
-    def calls(self, tmp_graph_file):
-        paths = {"cycle": tmp_graph_file(PENDANT_CYCLE_TEXT),
-                 "spider": tmp_graph_file(SPIDER_TEXT, "spider.edges")}
+    def paths(self, tmp_graph_file):
+        return {"cycle": tmp_graph_file(PENDANT_CYCLE_TEXT),
+                "spider": tmp_graph_file(SPIDER_TEXT, "spider.edges")}
+
+    @pytest.fixture
+    def calls(self, paths):
         return [[arg.format(**paths) for arg in call] for call in self.CALLS]
 
     def test_interleaved_calls_match_fresh_processes(self, capsys, monkeypatch, calls):
@@ -639,6 +660,19 @@ class TestParserReuse:
         together = [run_cli(capsys, *call) for call in calls]
         assert together == alone
         assert {code for code, _, _ in alone} == {0, 2}
+
+    def test_command_parser_answers_as_the_top_level_parse(self, capsys, monkeypatch, paths):
+        # a command's own parser, given the arguments after its name, gives
+        # the exit code, output and messages of the top-level parse
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [[arg.format(**paths) for arg in call] for call in self.DISPATCH]
+        direct = [run_cli(capsys, *call) for call in calls]
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser()[0].parse_args(argv))
+        assert [run_cli(capsys, *call) for call in calls] == direct
+        leftover = direct[self.DISPATCH.index(("enumerate", "--kind", "ev", "{cycle}", "extra"))]
+        assert leftover[0] == 2
+        assert leftover[2].endswith("\ndomicert: error: unrecognized arguments: extra\n")
+        assert {code for code, _, _ in direct} == {0, 2}
 
     def test_parser_built_on_first_call_only(self, calls):
         script = "\n".join([
@@ -719,6 +753,48 @@ class TestVerifyFigure1:
         code, out, _ = run_cli(capsys, "verify-figure1", path)
         assert code == 1
         assert "FAIL" in out
+
+
+class TestInputBytes:
+    # a graph file is read as UTF-8 text with universal newlines: CRLF and a
+    # bare CR end lines as LF does, and bytes that do not decode are an input error
+    COMMANDS = [("solve", "--kind", "ev"), ("enumerate", "--kind", "pr"), ("unique", "--kind", "pr"), ("detangle",)]
+    K2_OUT = ["gamma_ev = 1; 1 minimum set\n", "gamma_pr = 2; 1 minimum set\n{0, 1}\n",
+              "unique: true; set = {0, 1}\n", "every minimum ev-dominating set is sharing-free; nothing to detangle\n"]
+
+    def _runs(self, capsys, path, fmt="edges"):
+        return [run_cli(capsys, *command, str(path), "--format", fmt) for command in self.COMMANDS]
+
+    @pytest.mark.parametrize("data, fmt", [(b"2 1\r\n0 1\r\n", "edges"), (b"2 1\r0 1\r", "edges"),
+                                           (b"A_\r\n", "g6")], ids=["crlf", "bare_cr", "g6_crlf"])
+    def test_line_ends(self, capsys, tmp_path, data, fmt):
+        path = tmp_path / "graph"
+        path.write_bytes(data)
+        assert self._runs(capsys, path, fmt) == [(0, out, "") for out in self.K2_OUT]
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "bare_cr"])
+    def test_line_ends_parse_as_lf(self, capsys, tmp_path, ending):
+        lf, other = tmp_path / "lf.edges", tmp_path / "other.edges"
+        lf.write_bytes(PENDANT_CYCLE_TEXT.encode())
+        other.write_bytes(PENDANT_CYCLE_TEXT.encode().replace(b"\n", ending))
+        assert self._runs(capsys, other) == self._runs(capsys, lf)
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "graph.edges"
+        path.write_bytes(b"\xff\xfe2 1\n0 1\n")
+        err = "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        assert self._runs(capsys, path) == [(2, "", err)] * len(self.COMMANDS)
+
+    def test_directory(self, capsys, tmp_path):
+        err = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
+        assert self._runs(capsys, tmp_path) == [(2, "", err)] * len(self.COMMANDS)
+
+    def test_bare_cr_inside_graph6_is_named_as_lf(self, capsys, tmp_path):
+        # the text read turns the CR into the LF that the error names
+        path = tmp_path / "graph.g6"
+        path.write_bytes(b"D\r_\n")
+        err = "error: invalid graph6 byte '\\n'\n"
+        assert self._runs(capsys, path, "g6") == [(2, "", err)] * len(self.COMMANDS)
 
 
 class TestFuzzedInput:

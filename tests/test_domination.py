@@ -36,7 +36,11 @@ from .oracles import (
     min_ev_family_naive,
     min_pr_family_naive,
     tree_from_prufer,
+    unique_tree_closure,
 )
+
+# README's count of the trees with one minimum ev-set, n = 2..14
+UNIQUE_EV_TREES = [1, 0, 1, 1, 2, 2, 5, 8, 18, 30, 59, 113, 250]
 
 # budget tests pin the search nodes a solve spends: the smallest budget
 # that finishes on each of these graphs
@@ -409,6 +413,32 @@ class TestSpanAndUniqueness:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             uniqueness(path_graph(4), "vertex")
+
+
+class TestUniqueTrees:
+    @pytest.fixture(scope="class")
+    def unique_trees(self):
+        # every tree on n = 2..14 vertices whose minimum ev-set is unique,
+        # checked by thm2 to be those whose minimum paired set is
+        found = {}
+        for n in range(2, 15):
+            found[n] = []
+            for g in generate_trees(n):
+                unique = len(solve_ev(g).masks) == 1
+                assert (len(solve_pr(g).masks) == 1) == unique
+                if unique:
+                    found[n].append(g)
+        return found
+
+    def test_counts(self, unique_trees):
+        assert [len(unique_trees[n]) for n in range(2, 15)] == UNIQUE_EV_TREES
+
+    def test_closure_from_leaves_and_p4s(self, unique_trees):
+        # ROADMAP item 14: from the trees on 2..4 vertices, pendant leaves
+        # and P4s build every unique tree on 5..14 and nothing else
+        built = unique_tree_closure({n: unique_trees[n] for n in (2, 3, 4)}, 14,
+                                    lambda g: len(solve_ev(g).masks) == 1)
+        assert built == {n: {canonical_code(g) for g in unique_trees[n]} for n in range(5, 15)}
 
 
 class TestTreeFastPath:
