@@ -47,7 +47,7 @@ import threading
 import time
 from collections import deque
 from functools import lru_cache, partial
-from itertools import groupby, islice
+from itertools import islice
 
 from .domination import DEFAULT_BUDGET, MinSetFamily, _Record, solve_families
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
@@ -59,7 +59,6 @@ from .graphs import (
     canonical_code,
     emit_graph6,
     is_connected,
-    parse_edge_list,
 )
 from .twinning import _claim_holds, _first_sharing_pair, _sharing_pairs, _twin
 
@@ -227,19 +226,10 @@ def _levels_to_graph(levels) -> Graph:
 
 
 def generate_connected_graphs(n: int):
-    """Yield one representative per isomorphism class of connected graphs."""
+    """Yield one representative per isomorphism class of connected graphs, in code order."""
     if not 2 <= n <= CONNECTED_GENERATION_BOUND:
         raise CapabilityError(f"connected generation supports 2 <= n <= {CONNECTED_GENERATION_BOUND}, got {n}")
-    for reps in _connected_levels(n):
-        pass
-    yield from reps
-
-
-def _connected_levels(n_max: int, mapper=map):
-    # the representatives of each level m = 1..n_max, in class order
-    yield [Graph(1, ())]
-    for _, level in groupby(_connected_classes(n_max, mapper), lambda found: found[1].n):
-        yield [g for _, g in sorted(level)]
+    yield from (g for _, g in sorted(found for found in _connected_classes(n) if found[1].n == n))
 
 
 def _connected_classes(n_max: int, mapper=map):
@@ -443,10 +433,7 @@ class CensusReport(_Record):
     """Aggregated verdicts; the JSON form is canonical and timing-free."""
 
     _fields = ("config", "per_n", "wall_time_seconds")
-    # mutable, and so unhashable
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    __hash__ = None  # per_n is a dict
 
     def __init__(self, config: CensusConfig, per_n: dict[int, dict], wall_time_seconds: float):
         self.__dict__.update(config=config, per_n=per_n, wall_time_seconds=wall_time_seconds)
@@ -621,15 +608,17 @@ def _census_task(graph: Graph, checks, budget: int, connected: bool = True):
     return graph.n, verdicts, examples
 
 
-# --- bundled counterexample fixture ----------------------------------------
+# --- counterexample fixture -----------------------------------------------
 
 
 def figure1_graph() -> Graph:
-    """The bundled pendant-cycle fixture: a 4-cycle, one pendant per cycle vertex."""
-    from importlib import resources  # only the bundled fixture needs it
+    """The pendant cycle: 4-cycle c1..c4 on vertices 0..3, pendant x_i = i + 3 on c_i.
 
-    text = resources.files("domicert").joinpath("data/figure1.edges").read_text(encoding="utf-8")
-    return parse_edge_list(text)
+    One of the five connected graphs on 8 vertices with a unique minimum
+    paired-dominating set but two or more minimum ev-dominating sets; the
+    census finds none with fewer vertices.
+    """
+    return Graph(8, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)))
 
 
 def figure1_claims(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[tuple[str, bool], ...]:

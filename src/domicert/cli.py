@@ -151,7 +151,7 @@ def _budget_from_env() -> int:
 
 
 def _load_graph(args) -> Graph:
-    with open(args.file, encoding="utf-8") as handle:
+    with open(args.file, encoding="utf-8", newline="") as handle:
         text = handle.read()
     if args.format == "g6":
         return parse_graph6(text)
@@ -278,7 +278,7 @@ def _cmd_detangle(args, budget: int) -> int:
         return 0
     edges, incident = family.index
     row, chosen = max(zip(_bit_rows(family.tangled), family.tangled))
-    result = _detangle(graph, edges, incident, chosen, family.gamma ** 2)
+    result = _detangle(graph, edges, incident, chosen)
     print(f"set: {_fmt_edge_set(compress(edges, row))}")
     print(f"iterations: {result.iterations}")
     for i, step in enumerate(result.trace, start=1):

@@ -101,7 +101,7 @@ def detangle(graph: Graph, edges) -> DetangleResult:
         raise ValueError("the set has no sharing pair to rewrite")
     if pair[0] == pair[1]:
         raise ValueError("need two distinct edges")
-    return _detangle(graph, *_on_graph(graph, members), len(members) ** 2)
+    return _detangle(graph, *_on_graph(graph, members))
 
 
 # The cores take a set as a bitmask ``members`` over the indices of a
@@ -214,8 +214,9 @@ def _twin(graph: Graph, edges, incident, members: int, a: int, b: int) -> tuple[
             x_a, x_b)
 
 
-def _detangle(graph: Graph, edges, incident, members: int, cap: int) -> DetangleResult:
+def _detangle(graph: Graph, edges, incident, members: int) -> DetangleResult:
     # ``detangle`` on members with a sharing pair, in at most cap steps
+    cap = members.bit_count() ** 2
     trace: list[TwinningStep] = []
     bits = _first_sharing_pair(edges, incident, members)
     while bits is not None:

@@ -177,7 +177,7 @@ class TestConnectedGeneration:
 
     def test_child_codes_against_per_mask_referee(self):
         # every connected parent with n <= 6, so children up to n = 7
-        parents = [g for reps in census._connected_levels(6) for g in reps]
+        parents = [Graph(1, ())] + [g for _, g in census._connected_classes(6)]
         assert len(parents) == 143
         for g in parents:
             assert census._child_codes(g) == child_codes_naive(g)
@@ -244,13 +244,14 @@ class TestPinnedCodes:
 
     def test_pooled_level_pass_matches_serial(self):
         # each level's children coded in a real pool: the merge keeps the
-        # first class found in parent order, so every level is the serial
-        # one, and level 8 keeps its pinned order
+        # first class found in parent order, so the stream is the serial
+        # one, code and labelled graph alike, in discovery order, and level
+        # 8 keeps its pinned order
         with multiprocessing.get_context("spawn").Pool(2) as pool:
-            pooled = list(census._connected_levels(8, partial(pool.imap, chunksize=census.CHUNK_SIZE)))
-        assert pooled[:7] == list(census._connected_levels(7))
+            pooled = list(census._connected_classes(8, partial(pool.imap, chunksize=census.CHUNK_SIZE)))
+        assert pooled == list(census._connected_classes(8))
         digest = hashlib.sha256()
-        for g in pooled[7]:
+        for _, g in sorted(found for found in pooled if found[1].n == 8):
             digest.update((emit_graph6(g) + "\n").encode())
         assert digest.hexdigest() == "35b9545372565c4c3b61aabdc7d9bd2af870bc8f03c7e4b113526dc81509e897"
 

@@ -756,8 +756,9 @@ class TestVerifyFigure1:
 
 
 class TestInputBytes:
-    # a graph file is read as UTF-8 text with universal newlines: CRLF and a
-    # bare CR end lines as LF does, and bytes that do not decode are an input error
+    # a graph file is read as UTF-8 text with no newline translation: CRLF
+    # and a bare CR end lines as LF does, a CR inside a graph6 payload is
+    # named as itself, and bytes that do not decode are an input error
     COMMANDS = [("solve", "--kind", "ev"), ("enumerate", "--kind", "pr"), ("unique", "--kind", "pr"), ("detangle",)]
     K2_OUT = ["gamma_ev = 1; 1 minimum set\n", "gamma_pr = 2; 1 minimum set\n{0, 1}\n",
               "unique: true; set = {0, 1}\n", "every minimum ev-dominating set is sharing-free; nothing to detangle\n"]
@@ -789,11 +790,10 @@ class TestInputBytes:
         err = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
         assert self._runs(capsys, tmp_path) == [(2, "", err)] * len(self.COMMANDS)
 
-    def test_bare_cr_inside_graph6_is_named_as_lf(self, capsys, tmp_path):
-        # the text read turns the CR into the LF that the error names
+    def test_bare_cr_inside_graph6_is_named_as_cr(self, capsys, tmp_path):
         path = tmp_path / "graph.g6"
         path.write_bytes(b"D\r_\n")
-        err = "error: invalid graph6 byte '\\n'\n"
+        err = "error: invalid graph6 byte '\\r'\n"
         assert self._runs(capsys, path, "g6") == [(2, "", err)] * len(self.COMMANDS)
 
 

@@ -1,20 +1,26 @@
 """Import hygiene: every package module uses each name it imports, every
-name the package exports resolves and is named in README's Library
-section, and importing the package loads none of the standard modules
-that only some commands need."""
+top-level private name is read somewhere in the package, every module
+parses as the oldest Python that pyproject.toml admits, every name the
+package exports resolves and is named in README's Library section, and
+importing the package loads none of the standard modules that only some
+commands need."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import domicert
 
 PACKAGE = Path(domicert.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -47,6 +53,66 @@ def test_unused_import_is_reported(tmp_path):
     assert _unused_imports(path) == ["module.py:3 _general_code"]
 
 
+def _unread_private_names(paths: list[Path]) -> list[str]:
+    # top-level private names (one leading underscore) that a module binds
+    # by def, class or assignment, and that no module of ``paths`` reads:
+    # a loaded Name, an attribute such as ``census._x`` and an imported
+    # name all count as reads
+    defined: list[tuple[str, int, str]] = []
+    read: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [name.id for target in bound for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                targets = []
+            defined += [(path.name, node.lineno, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}:{line} {name}" for module, line, name in defined if name not in read]
+
+
+def test_private_names_are_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _unread_private_names(modules) == []
+
+
+def test_unread_private_name_is_reported(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text("_LOADED = 1\n_imported = 2\n_attribute = 3\n_unread: int = 4\n__version__ = '0'\n\n"
+                     "def _recursive(n):\n    return n and _recursive(n - 1)\n\n\n"
+                     "class _Spare:\n    _field = _LOADED\n", encoding="utf-8")
+    second.write_text("from . import first\nfrom .first import _imported\n\nfirst._attribute\n", encoding="utf-8")
+    assert _unread_private_names([first, second]) == ["first.py:4 _unread", "first.py:11 _Spare"]
+
+
+def test_modules_parse_as_the_oldest_supported_python():
+    # a module that only a newer parser reads, such as one with
+    # ``except*``, would fail to import there
+    declared = re.search(r'^requires-python = ">=3\.(\d+)"$', PYPROJECT.read_text(encoding="utf-8"), re.MULTILINE)
+    oldest = (3, int(declared[1]))
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)
+
+
+def test_parse_check_refuses_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
 def test_exported_names_resolve():
     assert len(set(domicert.__all__)) == len(domicert.__all__)
     assert [name for name in domicert.__all__ if not hasattr(domicert, name)] == []
@@ -61,8 +127,8 @@ def test_exported_names_documented():
 
 def test_import_defers_what_only_some_commands_use():
     # a fresh interpreter without site; a pooled census loads
-    # multiprocessing, a written report json, the bundled fixture
-    # importlib.resources, and nothing loads dataclasses or inspect
+    # multiprocessing, a written report json, and nothing loads
+    # dataclasses, inspect or importlib.resources
     deferred = ("multiprocessing", "dataclasses", "inspect", "json", "importlib.resources")
     code = ("import sys, domicert, domicert.census, domicert.cli; "
             f"print([name for name in {deferred!r} if name in sys.modules])")

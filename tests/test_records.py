@@ -145,7 +145,7 @@ class TestCensusRecords:
         config = CensusConfig(TREES, 2, 4, ("claim",), 2, 7)
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_report_is_a_mutable_unhashable_value(self):
+    def test_report_is_a_read_only_unhashable_value(self):
         config = CensusConfig(TREES, 2, 2)
         report = CensusReport(config, {2: {}}, 0.5)
         assert report == CensusReport(config=config, per_n={2: {}}, wall_time_seconds=0.5)
@@ -153,5 +153,10 @@ class TestCensusRecords:
         assert repr(report) == f"CensusReport(config={config!r}, per_n={{2: {{}}}}, wall_time_seconds=0.5)"
         with pytest.raises(TypeError):
             hash(report)
-        report.wall_time_seconds = 0.25
-        assert report.wall_time_seconds == 0.25
+        with pytest.raises(AttributeError):
+            report.wall_time_seconds = 0.25
+        with pytest.raises(AttributeError):
+            del report.per_n
+        with pytest.raises(AttributeError):
+            report.extra = 1
+        assert (report.per_n, report.wall_time_seconds) == ({2: {}}, 0.5)
