@@ -1,13 +1,16 @@
 """Census workers: one process per worker, each on its own duplex pipe,
-driven from the calling thread.
+driven from the calling thread, with no handler threads, queue or locks.
 
-The calling thread sends the tasks and reads the results itself, with no
-handler threads, shared queue or locks: each worker has at most
-``IN_FLIGHT`` tasks sent and not yet answered, and the others wait in a
-FIFO that is fed whenever the caller waits on a result. A worker whose
-pipe breaks (it exited, or was killed, with a task in flight) stops the
-whole set and raises CapabilityError, where ``multiprocessing.Pool``
-would wait for that task forever.
+``Workers.map`` is the builtin ``map`` run on the workers: lazy, in order,
+raising a task's exception in place of its result. A map reads an item
+only while some worker has fewer than ``IN_FLIGHT`` tasks unanswered, or
+while it has none of its own in flight, so that it always has a task of
+its own to wait on; its items may come from another map over the same
+workers, as whichever map waits reads the results of both. Leaving the
+``with`` block reads the results in flight and lets the workers exit, or,
+on an exception, terminates them. A worker whose pipe breaks (it exited,
+or was killed, with a task in flight) stops the whole set and raises
+CapabilityError, where ``multiprocessing.Pool`` would wait forever.
 """
 
 from __future__ import annotations
@@ -19,19 +22,20 @@ from multiprocessing.connection import wait
 from .errors import CapabilityError
 
 # tasks sent to one worker and not yet answered: the one it runs and the
-# one waiting in its pipe. Sends do not block as long as a waiting task
-# fits in the pipe's buffer, as a census batch of small graphs does
+# one waiting in its pipe. A map sends the item it has read even when the
+# read ran another map that filled the workers, so in the census a worker
+# can hold IN_FLIGHT + 1. Sends do not block as long as the waiting tasks
+# fit in the pipe's buffer, as census tasks, each at most 16 KB pickled, do
 IN_FLIGHT = 2
+
+_END = object()  # what ``next`` returns on a map's exhausted items
 
 
 class Workers:
-    """Worker processes with the part of the ``multiprocessing.Pool`` interface
-    that the census uses: ``imap``, ``apply_async``, ``close``, ``terminate``
-    and ``join``."""
+    """Worker processes with a lazy, ordered ``map``, used as a ``with`` block."""
 
     def __init__(self, processes: int):
-        self._queue = deque()  # (result, func, args) of the tasks not yet sent
-        self._workers = []  # (process, connection, results in flight) per worker
+        self._workers = []  # (process, connection, result slots in flight) per worker
         try:
             for _ in range(processes):
                 conn, child = multiprocessing.Pipe()
@@ -41,58 +45,47 @@ class Workers:
                     process.start()
                 self._workers.append((process, conn, deque()))
         except BaseException:
-            self.terminate()
-            self.join()
+            self._stop()
             raise
 
-    def apply_async(self, func, args):
-        result = _Result(self)
-        self._queue.append((result, func, args))
-        self._feed()
-        return result
+    def __enter__(self):
+        return self
 
-    def imap(self, func, iterable, chunksize):
-        # every chunk is queued now; its results are read, in order, as they
-        # are used, and dropped once yielded
-        items = list(iterable)
-        chunks = deque(self.apply_async(_run_chunk, (func, items[i:i + chunksize]))
-                       for i in range(0, len(items), chunksize))
+    def __exit__(self, exc_type, exc, traceback):
+        if exc_type is None:
+            # finish every task in flight, then let the workers exit
+            while any(sent for _, _, sent in self._workers):
+                self._receive()
+            for worker in self._workers:
+                self._send(worker, None)
+        self._stop(terminate=exc_type is not None)
 
-        def results():
-            while chunks:
-                yield from chunks.popleft().get()
-
-        return results()
-
-    def close(self):
-        # finish every task sent or queued, then let the workers exit
-        while self._queue or any(sent for _, _, sent in self._workers):
-            self._receive()
-        for process, conn, _ in self._workers:
-            self._send(process, conn, None)
-
-    def terminate(self):
-        self._queue.clear()
-        for process, _, _ in self._workers:
-            process.terminate()
-
-    def join(self):
-        for process, conn, _ in self._workers:
-            process.join()
-            conn.close()
-
-    def _feed(self):
-        # the oldest queued tasks go to the workers with the fewest in flight
-        while self._queue:
-            process, conn, sent = min(self._workers, key=lambda worker: len(worker[2]))
-            if len(sent) == IN_FLIGHT:
+    def map(self, func, iterable):
+        items = iter(iterable)
+        mine = deque()  # the result slots of this map's tasks in flight, in the order sent
+        while True:
+            if mine and mine[0]:
+                done, value = mine.popleft()[0]
+                if not done:
+                    raise value
+                yield value
+                continue
+            while not mine or any(len(sent) < IN_FLIGHT for _, _, sent in self._workers):
+                item = next(items, _END)
+                if item is _END:
+                    break
+                # picked after the read, which may have run another map on these workers
+                worker = min(self._workers, key=lambda worker: len(worker[2]))
+                slot = []
+                worker[2].append(slot)
+                mine.append(slot)
+                self._send(worker, (func, item))
+            if not mine:
                 return
-            result, func, args = self._queue.popleft()
-            self._send(process, conn, (func, args))
-            sent.append(result)
+            self._receive()
 
     def _receive(self):
-        # read each result that is ready, then refill the workers
+        # each result that is ready, into the oldest slot of its worker
         busy = {conn: (process, sent) for process, conn, sent in self._workers if sent}
         for conn in wait(busy):
             process, sent = busy[conn]
@@ -100,10 +93,10 @@ class Workers:
                 outcome = conn.recv()
             except (EOFError, OSError):
                 self._lost(process)
-            sent.popleft().outcome = outcome
-        self._feed()
+            sent.popleft().append(outcome)
 
-    def _send(self, process, conn, message):
+    def _send(self, worker, message):
+        process, conn, _ = worker
         try:
             conn.send(message)
         except OSError:  # BrokenPipeError or ConnectionResetError
@@ -111,26 +104,17 @@ class Workers:
 
     def _lost(self, process):
         # a broken pipe: no result in flight on it will come back
-        self.terminate()
-        self.join()
+        self._stop()
         index = next(i for i, worker in enumerate(self._workers, 1) if worker[0] is process)
         raise CapabilityError(f"census worker {index} of {len(self._workers)} (pid {process.pid}) "
                               f"exited with code {process.exitcode}") from None
 
-
-class _Result:
-    __slots__ = ("workers", "outcome")
-
-    def __init__(self, workers: Workers):
-        self.workers, self.outcome = workers, None
-
-    def get(self):
-        while self.outcome is None:
-            self.workers._receive()
-        done, value = self.outcome
-        if done:
-            return value
-        raise value
+    def _stop(self, terminate=True):
+        for process, conn, _ in self._workers:
+            if terminate:
+                process.terminate()
+            process.join()
+            conn.close()
 
 
 def _serve(conn, parent_ends):
@@ -142,15 +126,11 @@ def _serve(conn, parent_ends):
         end.close()
     try:
         while (task := conn.recv()) is not None:
-            func, args = task
+            func, item = task
             try:
-                outcome = True, func(*args)
+                outcome = True, func(item)
             except Exception as exc:
                 outcome = False, exc
             conn.send(outcome)
     except (EOFError, OSError):
         pass
-
-
-def _run_chunk(func, items):
-    return [func(item) for item in items]

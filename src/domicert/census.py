@@ -7,10 +7,11 @@ byte-identical JSON regardless of worker count. Graphs stream to the
 checks: trees from their generator, connected graphs from a level pass
 that builds each level from the one below, coding every parent's
 children in the census pool, and hands on each class once its parent is
-merged. Pool workers each have their own pipe, driven from the main
-thread, and one that dies ends the census with a CapabilityError. Once
-the checks are drained, the graphs counted per vertex count are
-cross-checked against independently known class counts.
+merged. A pool codes and checks as two lazy maps over its workers, the
+checks reading from the coding; each worker has its own pipe, driven
+from the main thread, and one that dies ends the census with a
+CapabilityError. Once the checks are drained, the graphs counted per
+vertex count are cross-checked against independently known class counts.
 
 Check names. ``solve_families`` builds the paired family from the ev
 search, as the spans of the minimum ev-sets that are matchings, so three
@@ -45,9 +46,8 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from collections import deque
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 
 from .domination import DEFAULT_BUDGET, MinSetFamily, _Record, solve_families
 from .errors import CapabilityError, InvariantViolation, NotMinimumWitness
@@ -222,7 +222,8 @@ def _levels_to_graph(levels) -> Graph:
 #
 # Each survivor is coded by ``canonical_code``, on a Graph built on its
 # neighbour masks, which are not checked again. Each parent's children are
-# coded on their own (``_child_codes``), so a pool can code them in parallel.
+# coded on their own (``_child_codes``), in chunks of parents
+# (``_chunk_codes``), so a pool can code them in parallel.
 
 
 def generate_connected_graphs(n: int):
@@ -232,7 +233,7 @@ def generate_connected_graphs(n: int):
     yield from (g for _, g in sorted(found for found in _connected_classes(n) if found[1].n == n))
 
 
-def _connected_classes(n_max: int, mapper=map):
+def _connected_classes(n_max: int, mapper=map, workers: int = 1):
     # (code, representative) of each class on 2..n_max vertices, once its
     # parent's children are merged: ``mapper`` codes them in parent order,
     # and the first (parent, mask) per code is kept, as in a serial pass.
@@ -240,7 +241,11 @@ def _connected_classes(n_max: int, mapper=map):
     reps = [Graph(1, ())]
     for m in range(2, n_max + 1):
         found: dict[bytes, Graph | None] = {}
-        for g, children in zip(reps, mapper(_child_codes, reps)):
+        # at most CHUNK_SIZE parents per coding task, and four tasks per
+        # worker, so that every worker shares each level
+        size = min(CHUNK_SIZE, max(1, len(reps) // (4 * workers)))
+        chunks = (reps[i:i + size] for i in range(0, len(reps), size))
+        for g, children in zip(reps, chain.from_iterable(mapper(_chunk_codes, chunks))):
             for code, mask in children:
                 if code not in found:
                     child = _attach(g, mask)
@@ -248,6 +253,11 @@ def _connected_classes(n_max: int, mapper=map):
                     yield code, child
         if m < n_max:
             reps = [found[c] for c in sorted(found)]
+
+
+def _chunk_codes(parents: list[Graph]) -> list[list[tuple[bytes, int]]]:
+    # one coding task: the child codes of each parent in a chunk
+    return [_child_codes(g) for g in parents]
 
 
 def _child_codes(g: Graph) -> list[tuple[bytes, int]]:
@@ -488,48 +498,25 @@ def run_census(config: CensusConfig) -> CensusReport:
              for n in sizes}
     task = partial(_census_batch, checks=config.checks, budget=config.budget)
     workers = config.worker_count
-    pool = _start_pool(workers) if workers > 1 else None
-    try:
-        mapper = map
-        if pool is not None:
-            # four coding tasks per worker, so that every worker shares each level
-            mapper = lambda func, items: pool.imap(func, items, min(CHUNK_SIZE, max(1, len(items) // (4 * workers))))
+    # leaving the block stops any pool: at once on an exception
+    with _start_pool(workers) if workers > 1 else _NoPool() as pool:
         if config.family == TREES:
             graphs = (g for n in sizes for g in generate_trees(n))
         else:
             # one level pass: the levels below n_min are built, not checked
-            graphs = (g for _, g in _connected_classes(config.n_max, mapper) if g.n >= config.n_min)
-        if pool is None:
-            # one batch: each graph is checked before the next is generated
-            batches, window, submit = iter([graphs]), 1, lambda batch: partial(task, batch)
-        else:
-            # listed batches, as a task's arguments are pickled when it is
-            # sent; the pool sends its tasks in the order they are submitted
-            batches, window = iter(lambda: list(islice(graphs, CHUNK_SIZE)), []), 2 * workers
-            submit = lambda batch: pool.apply_async(task, (batch,)).get
-        pending = deque()  # at most ``window`` batches in flight
-        while (batch := next(batches, None)) is not None or pending:
-            if batch is not None:
-                pending.append(submit(batch))
-            if len(pending) == window or batch is None:
-                tally, examples = pending.popleft()()
-                for (n, verdicts), count in tally.items():
-                    record = per_n[n]
-                    record["graphs_examined"] += count
-                    for name, verdict in zip(config.checks, verdicts):
-                        record["verdicts"][name][verdict] += count
-                for n, example in examples:
-                    per_n[n]["counterexamples"].append(example)
-    except BaseException:
-        # stop the workers at once; a closed pool would still run every
-        # task left in its queue
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        raise
-    if pool is not None:
-        pool.close()
-        pool.join()
+            graphs = (g for _, g in _connected_classes(config.n_max, pool.map, workers) if g.n >= config.n_min)
+        # a pool gets listed batches, as a task's argument is pickled when it
+        # is sent; without one, one lazy batch checks each graph before the
+        # next is generated
+        batches = iter(lambda: list(islice(graphs, CHUNK_SIZE)), []) if workers > 1 else [graphs]
+        for tally, examples in pool.map(task, batches):
+            for (n, verdicts), count in tally.items():
+                record = per_n[n]
+                record["graphs_examined"] += count
+                for name, verdict in zip(config.checks, verdicts):
+                    record["verdicts"][name][verdict] += count
+            for n, example in examples:
+                per_n[n]["counterexamples"].append(example)
     for n, record in per_n.items():
         if record["graphs_examined"] != record["expected_count"]:
             raise InvariantViolation(
@@ -541,10 +528,18 @@ def run_census(config: CensusConfig) -> CensusReport:
 def Pool(processes: int):
     # the census workers, each on its own pipe driven from the calling
     # thread (``_workers``); imported on the first pooled census, as only a
-    # pool needs multiprocessing, and importing it costs every process about 5 ms
+    # pool needs multiprocessing, and importing it costs every process about
+    # 5 ms. The census uses a pool only through ``map`` and ``with``
     from ._workers import Workers
 
     return Workers(processes)
+
+
+class _NoPool:
+    # the census without a pool: the builtin map, and no workers to stop
+    map = map
+    __enter__ = lambda self: self
+    __exit__ = lambda self, *exc_info: None
 
 
 def _start_pool(worker_count: int):

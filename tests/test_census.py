@@ -248,7 +248,7 @@ class TestPinnedCodes:
         # one, code and labelled graph alike, in discovery order, and level
         # 8 keeps its pinned order
         with multiprocessing.get_context("spawn").Pool(2) as pool:
-            pooled = list(census._connected_classes(8, partial(pool.imap, chunksize=census.CHUNK_SIZE)))
+            pooled = list(census._connected_classes(8, pool.map, 2))
         assert pooled == list(census._connected_classes(8))
         digest = hashlib.sha256()
         for _, g in sorted(found for found in pooled if found[1].n == 8):
@@ -581,9 +581,9 @@ class TestCensusConfig:
 class RecordingPool:
     """A serial stand-in for the census pool that records what it is given.
 
-    A coding ``imap`` runs each task as its result is read; an
-    ``apply_async`` batch runs when its ``get`` is called, so a batch is
-    in flight from its submit event to its get event.
+    ``map`` is the builtin map: it logs each item as it is read and each
+    task as it runs, and leaving the block logs the exception it was left
+    on, if any. A coding task logs the level it codes.
     """
 
     failing = False
@@ -591,37 +591,29 @@ class RecordingPool:
     def __init__(self, workers):
         self.events = [("pool", workers)]
 
-    def imap(self, func, iterable, chunksize):
-        items = list(iterable)
-        self.events.append(("imap", func, chunksize, len(items)))
-        return map(self._coded, items, map(func, items))
+    def __enter__(self):
+        return self
 
-    def _coded(self, parent, children):
-        self.events.append(("coded", parent.n + 1))
-        return children
+    def __exit__(self, exc_type, exc, traceback):
+        self.events.append(("exit", exc_type))
 
-    def apply_async(self, func, args):
-        self.events.append(("submit", *args))
-        return self._Result(self, func, args)
+    def map(self, func, iterable):
+        self.events.append(("map", func))
+        return map(partial(self._run, func), self._read(func, iterable))
 
-    class _Result:
-        def __init__(self, pool, func, args):
-            self.pool, self.func, self.args = pool, func, args
+    def _read(self, func, iterable):
+        for item in iterable:
+            self.events.append(("read", func, item))
+            yield item
 
-        def get(self):
-            self.pool.events.append(("get",))
-            if self.pool.failing:
+    def _run(self, func, item):
+        if func is census._chunk_codes:
+            self.events.append(("coded", item[0].n + 1))
+        else:
+            self.events.append(("checked",))
+            if self.failing:
                 raise RuntimeError("worker failed")
-            return self.func(*self.args)
-
-    def close(self):
-        self.events.append(("close",))
-
-    def terminate(self):
-        self.events.append(("terminate",))
-
-    def join(self):
-        self.events.append(("join",))
+        return func(item)
 
 
 @pytest.fixture
@@ -750,13 +742,14 @@ class TestRunCensus:
         # batches of CHUNK_SIZE graphs, the last one shorter
         pooled = run_census(CensusConfig(family="trees", n_min=2, n_max=10, worker_count=3))
         pool, = recording_pool
-        submitted = [event[1] for event in pool.events if event[0] == "submit"]
+        submitted = [event[2] for event in pool.events if event[0] == "read"]
         size = census.CHUNK_SIZE
         assert [len(batch) for batch in submitted] == [size, size, size, 200 - 3 * size]
         assert [g.n for batch in submitted for g in batch] == [n for n in range(2, 11) for _ in generate_trees(n)]
         assert len({g.n for g in submitted[0]}) > 1
-        assert {event[0] for event in pool.events} == {"pool", "submit", "get", "close", "join"}
-        assert pool.events[:1] + pool.events[-2:] == [("pool", 3), ("close",), ("join",)]
+        assert {event[0] for event in pool.events} == {"pool", "map", "read", "checked", "exit"}
+        assert sum(event[0] == "map" for event in pool.events) == 1
+        assert pool.events[:1] + pool.events[-1:] == [("pool", 3), ("exit", None)]
         assert pooled.to_json() == run_census(CensusConfig(family="trees", n_min=2, n_max=10)).to_json()
 
     def test_pool_starts_with_sigint_ignored(self, monkeypatch):
@@ -783,46 +776,49 @@ class TestRunCensus:
 
     def test_failing_pool_is_terminated_not_drained(self, monkeypatch, recording_pool):
         # a pool whose first check result fails: the census re-raises and
-        # stops the workers, with the later batches still in flight, instead
-        # of letting them finish the queued tasks
+        # leaves the pool's block on the exception, which stops the workers
+        # at once, instead of reading another batch or draining the ones
+        # in flight
         monkeypatch.setattr(RecordingPool, "failing", True)
         with pytest.raises(RuntimeError, match="^worker failed$"):
             run_census(CensusConfig(family="trees", n_min=2, n_max=11, worker_count=3))
-        events = [event[0] for event in recording_pool[0].events]
-        assert events == ["pool", *["submit"] * 2 * 3, "get", "terminate", "join"]
+        events = recording_pool[0].events
+        assert [event[0] for event in events] == ["pool", "map", "read", "checked", "exit"]
+        assert events[-1] == ("exit", RuntimeError)
 
     def test_connected_pool_codes_each_level_and_streams_checks(self, recording_pool):
         # every level is coded in the pool, levels below n_min too, through
-        # one imap over its parents, four tasks per worker; the classes of
-        # levels n_min..n_max go to the checks in listed batches
+        # one map over chunks of its parents, four chunks per worker; the
+        # classes of levels n_min..n_max go to the checks in listed batches
         cfg = dict(family="connected_graphs", n_min=4, n_max=7, checks=CHECK_NAMES)
         pooled = run_census(CensusConfig(**cfg, worker_count=3))
         pool, = recording_pool
-        coding = [event[1:] for event in pool.events if event[0] == "imap"]
+        chunks = {}
+        for event in pool.events:
+            if event[0] == "read" and event[1] is census._chunk_codes:
+                chunks.setdefault(event[2][0].n, []).append(len(event[2]))
+        coding = [(census._chunk_codes, sizes[0], sum(sizes)) for sizes in chunks.values()]
         parents = [connected_class_count(m) if m > 1 else 1 for m in range(1, 7)]
-        assert coding == [(census._child_codes, max(1, count // 12), count) for count in parents]
-        submitted = [event[1] for event in pool.events if event[0] == "submit"]
+        assert coding == [(census._chunk_codes, max(1, count // 12), count) for count in parents]
+        assert all(size <= sizes[0] for sizes in chunks.values() for size in sizes)
+        assert pool.events.count(("map", census._chunk_codes)) == len(parents)
+        submitted = [event[2] for event in pool.events if event[0] == "read" and event[1] is not census._chunk_codes]
         assert [g.n for batch in submitted for g in batch] == [n for n in range(4, 8)
                                                                for _ in range(connected_class_count(n))]
-        assert pool.events[-2:] == [("close",), ("join",)]
+        assert pool.events[-1] == ("exit", None)
         assert pooled.to_json() == run_census(CensusConfig(**cfg)).to_json()
 
     def test_checks_start_before_the_last_level_is_coded(self, recording_pool):
         # the pipeline: check batches go out while the last level's parents
-        # are still being coded, and no more than two per worker are ever in
-        # flight
+        # are still being coded. How many are in flight at once is the
+        # pool's to bound (tests/test_workers.py)
         cfg = dict(family="connected_graphs", n_min=7, n_max=7, checks=CHECK_NAMES)
         pooled = run_census(CensusConfig(**cfg, worker_count=3))
         events = recording_pool[0].events
-        first_submit = next(i for i, event in enumerate(events) if event[0] == "submit")
+        first_submit = next(i for i, event in enumerate(events)
+                            if event[0] == "read" and event[1] is not census._chunk_codes)
         last_coded = max(i for i, event in enumerate(events) if event == ("coded", 7))
         assert first_submit < last_coded
-        in_flight = peak = 0
-        for event in events:
-            in_flight += (event[0] == "submit") - (event[0] == "get")
-            peak = max(peak, in_flight)
-        assert in_flight == 0
-        assert peak == 2 * 3
         assert pooled.to_json() == run_census(CensusConfig(**cfg)).to_json()
 
     @pytest.mark.long

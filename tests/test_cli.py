@@ -528,8 +528,8 @@ class TestCensusCommand:
 
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
     def test_ctrl_c_stops_connected_census_mid_level(self):
-        # by then the pool codes the n=9 level with check batches of the
-        # classes found so far queued behind it
+        # by then the pool codes the n=9 level, with check batches of the
+        # classes found so far sent between its coding tasks
         self._interrupt(4, "--family", "graphs", "--n-min", "2", "--n-max", "9", "--workers", "2")
 
     def test_workers_above_bound_exit_two(self, capsys, monkeypatch):
