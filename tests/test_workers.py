@@ -107,9 +107,11 @@ class InFlight:
         return max(map(max, counts)), max(map(sum, counts))
 
 
-def test_map_results_in_order(workers):
-    # early items take longest, so later ones finish first
-    items = [0.02 if i < 4 else 0 for i in range(100)]
+@pytest.mark.parametrize("slow", [1, 3, 64])
+def test_imap_results_in_order(workers, slow):
+    # map is lazy and ordered, like multiprocessing's imap. The first `slow`
+    # items take longest, so later ones finish first
+    items = [0.02 if i < slow else 0 for i in range(100)]
     assert list(workers.map(nap, items)) == items
     assert list(workers.map(square, range(100))) == [i * i for i in range(100)]
 
